@@ -8,6 +8,7 @@
 
 #include "core/api.h"
 #include "engine/triangle.h"
+#include "engine/wcoj.h"
 #include "relation/generators.h"
 
 int main() {
@@ -37,8 +38,7 @@ int main() {
 
   // 4. Evaluate: generic worst-case-optimal join vs the Figure-1
   //    MM-hybrid algorithm (they must agree). Both run on the context.
-  const bool combinatorial =
-      EvaluateBoolean(q, db, EvalStrategy::kWcoj, &ctx);
+  const bool combinatorial = WcojBoolean(q, db, &ctx);
   const bool mm_hybrid =
       TriangleMm(db, omega.ToDouble(), MmKernel::kBoolean, nullptr, &ctx);
   std::printf("combinatorial WCOJ answer : %s\n",

@@ -1,6 +1,8 @@
 #include "core/api.h"
 
 #include <chrono>
+#include <utility>
+#include <vector>
 
 #include "engine/strategy.h"
 #include "engine/td_eval.h"
@@ -60,21 +62,6 @@ std::string FormatWidthReport(const Hypergraph& h, const Rational& omega,
   return out;
 }
 
-bool EvaluateBoolean(const Hypergraph& h, const QueryInput& db,
-                     EvalStrategy strategy, ExecContext* ctx) {
-  switch (strategy) {
-    case EvalStrategy::kWcoj:
-      return WcojBoolean(h, db, ctx);
-    case EvalStrategy::kBestTd:
-      return TdBooleanBest(h, db, ctx);
-    case EvalStrategy::kElimination: {
-      EliminationPlan plan = ForLoopPlan(h);
-      return ExecutePlan(h, db, plan, {}, nullptr, ctx);
-    }
-  }
-  return false;
-}
-
 ExecResult ValidateQuery(const Hypergraph& h, const QueryInput& db) {
   const auto invalid = [](std::string msg) {
     return ExecResult{ExecStatus::kInvalidArgument, std::move(msg)};
@@ -101,38 +88,6 @@ ExecResult ValidateQuery(const Hypergraph& h, const QueryInput& db) {
   return {};
 }
 
-ExecResult EvaluateBooleanGuarded(const Hypergraph& h, const QueryInput& db,
-                                  bool* result, EvalStrategy strategy,
-                                  ExecContext* ctx,
-                                  const QueryLimits& limits) {
-  ExecResult valid = ValidateQuery(h, db);
-  if (!valid.ok()) return valid;
-  ExecContext& ec = ExecContext::Resolve(ctx);
-  return RunGuarded(ec, limits, [&] {
-    *result = EvaluateBoolean(h, db, strategy, &ec);
-  });
-}
-
-ExecResult EvaluateCountGuarded(const Hypergraph& h, const QueryInput& db,
-                                int64_t* count, ExecContext* ctx,
-                                const QueryLimits& limits) {
-  ExecResult valid = ValidateQuery(h, db);
-  if (!valid.ok()) return valid;
-  ExecContext& ec = ExecContext::Resolve(ctx);
-  return RunGuarded(ec, limits, [&] { *count = WcojCount(h, db, &ec); });
-}
-
-ExecResult EvaluateJoinGuarded(const Hypergraph& h, const QueryInput& db,
-                               VarSet output_vars, Relation* result,
-                               ExecContext* ctx, const QueryLimits& limits) {
-  ExecResult valid = ValidateQuery(h, db);
-  if (!valid.ok()) return valid;
-  ExecContext& ec = ExecContext::Resolve(ctx);
-  return RunGuarded(ec, limits, [&] {
-    *result = WcojJoin(h, db, output_vars, nullptr, &ec);
-  });
-}
-
 namespace {
 
 /// Maps a strategy card to a Boolean-query rung closure. `*result` is
@@ -157,14 +112,20 @@ std::vector<PlanRung> BooleanLadder(const Hypergraph& h, const QueryInput& db,
     return ladder;
   }
   for (const StrategyCard& card : GenericBooleanLadder()) {
-    const EvalStrategy strategy = card.name == "elimination"
-                                      ? EvalStrategy::kElimination
-                                  : card.name == "best-td"
-                                      ? EvalStrategy::kBestTd
-                                      : EvalStrategy::kWcoj;
-    ladder.push_back({card.name, [&h, &db, strategy, result](ExecContext& ec) {
-                        *result = EvaluateBoolean(h, db, strategy, &ec);
-                      }});
+    if (card.name == "elimination") {
+      ladder.push_back({card.name, [&h, &db, result](ExecContext& ec) {
+                          *result = ExecutePlan(h, db, ForLoopPlan(h), {},
+                                                nullptr, &ec);
+                        }});
+    } else if (card.name == "best-td") {
+      ladder.push_back({card.name, [&h, &db, result](ExecContext& ec) {
+                          *result = TdBooleanBest(h, db, &ec);
+                        }});
+    } else {
+      ladder.push_back({card.name, [&h, &db, result](ExecContext& ec) {
+                          *result = WcojBoolean(h, db, &ec);
+                        }});
+    }
   }
   return ladder;
 }
@@ -192,6 +153,26 @@ std::vector<PlanRung> CountLadder(const Hypergraph& h, const QueryInput& db,
   return ladder;
 }
 
+/// The shared body of the *WithRecovery entry points: validates, walks
+/// the ladder `build_ladder(&scratch)` returns, and moves the scratch
+/// answer into `*out` only when a rung completed.
+template <typename T, typename BuildLadder>
+ExecResult EvaluateWithRecovery(const Hypergraph& h, const QueryInput& db,
+                                T* out, ExecContext* ctx,
+                                const QueryLimits& limits,
+                                const RetryPolicy& policy,
+                                RecoveryReport* report,
+                                BuildLadder&& build_ladder) {
+  ExecResult valid = ValidateQuery(h, db);
+  if (!valid.ok()) return valid;
+  ExecContext& ec = ExecContext::Resolve(ctx);
+  T scratch{};
+  const ExecResult r =
+      RunWithRecovery(ec, limits, policy, build_ladder(&scratch), report);
+  if (r.ok()) *out = std::move(scratch);
+  return r;
+}
+
 }  // namespace
 
 ExecResult EvaluateBooleanWithRecovery(const Hypergraph& h, const QueryInput& db,
@@ -199,14 +180,9 @@ ExecResult EvaluateBooleanWithRecovery(const Hypergraph& h, const QueryInput& db
                                        const QueryLimits& limits,
                                        const RetryPolicy& policy,
                                        RecoveryReport* report) {
-  ExecResult valid = ValidateQuery(h, db);
-  if (!valid.ok()) return valid;
-  ExecContext& ec = ExecContext::Resolve(ctx);
-  bool scratch = false;
-  const ExecResult r = RunWithRecovery(ec, limits, policy,
-                                       BooleanLadder(h, db, &scratch), report);
-  if (r.ok()) *result = scratch;
-  return r;
+  return EvaluateWithRecovery(
+      h, db, result, ctx, limits, policy, report,
+      [&](bool* scratch) { return BooleanLadder(h, db, scratch); });
 }
 
 ExecResult EvaluateCountWithRecovery(const Hypergraph& h, const QueryInput& db,
@@ -214,14 +190,9 @@ ExecResult EvaluateCountWithRecovery(const Hypergraph& h, const QueryInput& db,
                                      const QueryLimits& limits,
                                      const RetryPolicy& policy,
                                      RecoveryReport* report) {
-  ExecResult valid = ValidateQuery(h, db);
-  if (!valid.ok()) return valid;
-  ExecContext& ec = ExecContext::Resolve(ctx);
-  int64_t scratch = 0;
-  const ExecResult r = RunWithRecovery(ec, limits, policy,
-                                       CountLadder(h, db, &scratch), report);
-  if (r.ok()) *count = scratch;
-  return r;
+  return EvaluateWithRecovery(
+      h, db, count, ctx, limits, policy, report,
+      [&](int64_t* scratch) { return CountLadder(h, db, scratch); });
 }
 
 ExecResult EvaluateJoinWithRecovery(const Hypergraph& h, const QueryInput& db,
@@ -230,20 +201,16 @@ ExecResult EvaluateJoinWithRecovery(const Hypergraph& h, const QueryInput& db,
                                     const QueryLimits& limits,
                                     const RetryPolicy& policy,
                                     RecoveryReport* report) {
-  ExecResult valid = ValidateQuery(h, db);
-  if (!valid.ok()) return valid;
-  ExecContext& ec = ExecContext::Resolve(ctx);
   // One rung today: WcojJoin is already the memory-lightest strategy
   // that materializes the full join. The ladder shape still buys the
   // deadline re-arming and uniform reporting.
-  Relation scratch;
-  std::vector<PlanRung> ladder;
-  ladder.push_back({"wcoj", [&h, &db, output_vars, &scratch](ExecContext& ec) {
-                      scratch = WcojJoin(h, db, output_vars, nullptr, &ec);
-                    }});
-  const ExecResult r = RunWithRecovery(ec, limits, policy, ladder, report);
-  if (r.ok()) *result = std::move(scratch);
-  return r;
+  return EvaluateWithRecovery(
+      h, db, result, ctx, limits, policy, report, [&](Relation* scratch) {
+        return std::vector<PlanRung>{
+            {"wcoj", [&h, &db, output_vars, scratch](ExecContext& ec) {
+               *scratch = WcojJoin(h, db, output_vars, nullptr, &ec);
+             }}};
+      });
 }
 
 }  // namespace fmmsw

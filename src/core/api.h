@@ -5,7 +5,12 @@
 /// Public facade of the fmmsw library. A downstream user needs three
 /// things: (1) define a Boolean conjunctive query as a hypergraph plus a
 /// database, (2) ask for its widths (subw / w-subw, Tables 1-2), and
-/// (3) evaluate it with the engine of their choice. See
+/// (3) evaluate it. Evaluation has one status-returning path: the
+/// Evaluate*WithRecovery entry points below validate the query and walk
+/// its degradation ladder under guardrails. To run one engine directly
+/// (WcojBoolean, TdBooleanBest, ExecutePlan, the engine/triangle.h
+/// hybrids, ...), call it, or wrap the call in RunGuarded
+/// (core/exec_context.h) to arm limits and get an ExecResult back. See
 /// examples/quickstart.cpp.
 
 #include <string>
@@ -52,60 +57,13 @@ WidthReport ComputeWidths(const Hypergraph& h, const Rational& omega,
 std::string FormatWidthReport(const Hypergraph& h, const Rational& omega,
                               const WidthReport& report);
 
-enum class EvalStrategy {
-  kWcoj,        ///< generic worst-case optimal join (for-loops)
-  kBestTd,      ///< fhtw-optimal tree decomposition plan
-  kElimination, ///< GVEO interpreter with kAuto for-loop/MM choice
-};
-
-/// Evaluates the Boolean query with the chosen strategy. Specialized
-/// faster algorithms for the paper's query classes live in
-/// engine/{triangle,four_cycle,clique,pyramid}.h.
-///
-/// `ctx` supplies the thread pool, scratch arenas and per-op stats the
-/// evaluation runs on (see core/exec_context.h); nullptr uses the
-/// process-default context sized by FMMSW_THREADS.
-bool EvaluateBoolean(const Hypergraph& h, const QueryInput& db,
-                     EvalStrategy strategy = EvalStrategy::kWcoj,
-                     ExecContext* ctx = nullptr);
-
 /// Structural validation of a (query, database) pair: one relation per
 /// hyperedge, each relation's schema equal to its edge's variable set,
 /// and every edge variable inside the hypergraph's vertex range. Returns
 /// kOk or kInvalidArgument with a message naming the first mismatch.
-/// The guarded evaluation below runs this before touching the engines;
-/// call it directly to validate inputs without evaluating.
+/// The *WithRecovery entry points below run this before touching the
+/// engines; call it directly to validate inputs without evaluating.
 ExecResult ValidateQuery(const Hypergraph& h, const QueryInput& db);
-
-/// Status-returning evaluation with guardrails: validates inputs
-/// (kInvalidArgument), arms `limits` — wall-clock deadline, memory
-/// budget, cancellation via ctx->guard().Cancel() — on the context's
-/// guard for the duration of the run, and converts a guardrail abort
-/// unwinding out of the engines into the matching ExecStatus. On any
-/// non-kOk status `*result` is untouched and the context is immediately
-/// reusable for the next query (arenas released, stats preserved). See
-/// the "Error handling & guardrails" section of the README.
-ExecResult EvaluateBooleanGuarded(const Hypergraph& h, const QueryInput& db,
-                                  bool* result,
-                                  EvalStrategy strategy = EvalStrategy::kWcoj,
-                                  ExecContext* ctx = nullptr,
-                                  const QueryLimits& limits = {});
-
-/// Guarded counting evaluation: validates, arms `limits`, and counts the
-/// full join (WcojCount — no materialization, so max_output_rows does not
-/// apply). On any non-kOk status `*count` is untouched.
-ExecResult EvaluateCountGuarded(const Hypergraph& h, const QueryInput& db,
-                                int64_t* count, ExecContext* ctx = nullptr,
-                                const QueryLimits& limits = {});
-
-/// Guarded full-join evaluation: validates, arms `limits`, and
-/// materializes the join projected onto `output_vars` (canonically
-/// sorted; max_output_rows applies). On any non-kOk status `*result` is
-/// untouched.
-ExecResult EvaluateJoinGuarded(const Hypergraph& h, const QueryInput& db,
-                               VarSet output_vars, Relation* result,
-                               ExecContext* ctx = nullptr,
-                               const QueryLimits& limits = {});
 
 /// \name Recovery entry points
 /// Guarded evaluation with degraded-plan retry (core/recovery.h): each

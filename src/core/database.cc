@@ -279,24 +279,39 @@ void Database::Transaction::Rollback() {
 // ---------------------------------------------------------------------------
 // Query entry points
 
-ExecResult Database::QueryBoolean(const Snapshot& snap, const Hypergraph& h,
-                                  const std::vector<std::string>& atoms,
-                                  bool* result, const QueryOptions& opts,
-                                  ExecContext* ctx,
-                                  RecoveryReport* report) const {
+namespace {
+
+/// The shared front half of the Query* entry points: binds `atoms` from
+/// the pinned snapshot, takes an admission slot for `opts.klass`, and
+/// runs `evaluate(binding, ec)` while holding it.
+template <typename Evaluate>
+ExecResult BindAdmitAndRun(AdmissionController& admission, const Snapshot& snap,
+                           const std::vector<std::string>& atoms,
+                           const QueryOptions& opts, ExecContext* ctx,
+                           Evaluate&& evaluate) {
   ExecContext& ec = ExecContext::Resolve(ctx);
   QueryInput db;
   ExecResult bound = snap.Bind(atoms, &db);
   if (!bound.ok()) return bound;
   AdmissionController::Ticket ticket;
-  ExecResult admit = admission_.Admit(opts.klass, opts.limits, ec, &ticket);
+  ExecResult admit = admission.Admit(opts.klass, opts.limits, ec, &ticket);
   if (!admit.ok()) return admit;
-  if (opts.use_recovery) {
-    return EvaluateBooleanWithRecovery(h, db, result, &ec, opts.limits,
-                                       opts.retry, report);
-  }
-  return EvaluateBooleanGuarded(h, db, result, opts.strategy, &ec,
-                                opts.limits);
+  return evaluate(db, ec);
+}
+
+}  // namespace
+
+ExecResult Database::QueryBoolean(const Snapshot& snap, const Hypergraph& h,
+                                  const std::vector<std::string>& atoms,
+                                  bool* result, const QueryOptions& opts,
+                                  ExecContext* ctx,
+                                  RecoveryReport* report) const {
+  return BindAdmitAndRun(
+      admission_, snap, atoms, opts, ctx,
+      [&](const QueryInput& db, ExecContext& ec) {
+        return EvaluateBooleanWithRecovery(h, db, result, &ec, opts.limits,
+                                           opts.retry, report);
+      });
 }
 
 ExecResult Database::QueryCount(const Snapshot& snap, const Hypergraph& h,
@@ -304,18 +319,12 @@ ExecResult Database::QueryCount(const Snapshot& snap, const Hypergraph& h,
                                 int64_t* count, const QueryOptions& opts,
                                 ExecContext* ctx,
                                 RecoveryReport* report) const {
-  ExecContext& ec = ExecContext::Resolve(ctx);
-  QueryInput db;
-  ExecResult bound = snap.Bind(atoms, &db);
-  if (!bound.ok()) return bound;
-  AdmissionController::Ticket ticket;
-  ExecResult admit = admission_.Admit(opts.klass, opts.limits, ec, &ticket);
-  if (!admit.ok()) return admit;
-  if (opts.use_recovery) {
-    return EvaluateCountWithRecovery(h, db, count, &ec, opts.limits,
-                                     opts.retry, report);
-  }
-  return EvaluateCountGuarded(h, db, count, &ec, opts.limits);
+  return BindAdmitAndRun(
+      admission_, snap, atoms, opts, ctx,
+      [&](const QueryInput& db, ExecContext& ec) {
+        return EvaluateCountWithRecovery(h, db, count, &ec, opts.limits,
+                                         opts.retry, report);
+      });
 }
 
 ExecResult Database::QueryJoin(const Snapshot& snap, const Hypergraph& h,
@@ -323,18 +332,12 @@ ExecResult Database::QueryJoin(const Snapshot& snap, const Hypergraph& h,
                                VarSet output_vars, Relation* result,
                                const QueryOptions& opts, ExecContext* ctx,
                                RecoveryReport* report) const {
-  ExecContext& ec = ExecContext::Resolve(ctx);
-  QueryInput db;
-  ExecResult bound = snap.Bind(atoms, &db);
-  if (!bound.ok()) return bound;
-  AdmissionController::Ticket ticket;
-  ExecResult admit = admission_.Admit(opts.klass, opts.limits, ec, &ticket);
-  if (!admit.ok()) return admit;
-  if (opts.use_recovery) {
-    return EvaluateJoinWithRecovery(h, db, output_vars, result, &ec,
-                                    opts.limits, opts.retry, report);
-  }
-  return EvaluateJoinGuarded(h, db, output_vars, result, &ec, opts.limits);
+  return BindAdmitAndRun(
+      admission_, snap, atoms, opts, ctx,
+      [&](const QueryInput& db, ExecContext& ec) {
+        return EvaluateJoinWithRecovery(h, db, output_vars, result, &ec,
+                                        opts.limits, opts.retry, report);
+      });
 }
 
 ExecResult Database::PlanWidths(const Snapshot& snap, const Hypergraph& h,
@@ -342,19 +345,10 @@ ExecResult Database::PlanWidths(const Snapshot& snap, const Hypergraph& h,
                                 const Rational& omega, WidthReport* out,
                                 OmegaSubwOptions opts, ExecContext* ctx) const {
   ExecContext& ec = ExecContext::Resolve(ctx);
-  if (atoms.size() != h.edges().size()) {
-    return {ExecStatus::kInvalidArgument,
-            "PlanWidths: " + std::to_string(atoms.size()) +
-                " atom names for " + std::to_string(h.edges().size()) +
-                " hyperedges"};
-  }
-  for (const std::string& name : atoms) {
-    if (snap.Find(name) == nullptr) {
-      return {ExecStatus::kInvalidArgument,
-              "snapshot (epoch " + std::to_string(snap.epoch()) +
-                  ") has no relation named '" + name + "'"};
-    }
-  }
+  QueryInput db;
+  ExecResult valid = snap.Bind(atoms, &db);
+  if (valid.ok()) valid = ValidateQuery(h, db);
+  if (!valid.ok()) return valid;
   // Version-keyed planning: the digest rides into the WidthCache key,
   // so a commit to any bound relation misses the cache by construction.
   opts.stats_digest = snap.BindingDigest(atoms);

@@ -36,8 +36,8 @@
 ///
 /// Query{Boolean,Count,Join} / PlanWidths are the service entry points:
 /// they bind a snapshot's pinned versions to a hypergraph's atoms
-/// (zero-copy), pass through admission control, and route into the
-/// existing guarded/recovery evaluation planes. PlanWidths keys the
+/// (zero-copy), pass through admission control, and walk the
+/// Evaluate*WithRecovery degradation ladder. PlanWidths keys the
 /// process WidthCache with the snapshot's binding digest, so a commit
 /// that changes any bound relation can never serve a stale cached plan.
 ///
@@ -109,7 +109,7 @@ class Snapshot {
   /// Binds `atoms[i]` to hyperedge i: the binding shares the pinned
   /// versions by pointer (no row copies). kInvalidArgument if any name
   /// is not registered; the caller validates schema against the
-  /// hypergraph via ValidateQuery (the Query* entry points do both).
+  /// hypergraph via ValidateQuery (Query* and PlanWidths do both).
   ExecResult Bind(const std::vector<std::string>& atoms,
                   QueryInput* out) const;
 
@@ -132,10 +132,6 @@ struct QueryOptions {
   QueryClass klass = QueryClass::kSmallProbe;
   QueryLimits limits;
   RetryPolicy retry;
-  /// Walk the degradation ladder (Evaluate*WithRecovery). When false,
-  /// one guarded attempt of `strategy` (Boolean) / the default engine.
-  bool use_recovery = true;
-  EvalStrategy strategy = EvalStrategy::kWcoj;
 };
 
 /// The versioned catalog. Thread-safe: any number of threads may pin
@@ -224,11 +220,11 @@ class Database {
   /// \name Snapshot-isolated query entry points
   /// Bind the snapshot's pinned versions to `h`'s atoms by name
   /// (atoms[i] -> hyperedge i, zero-copy), pass admission control for
-  /// `opts.klass`, then route into the recovery ladder
-  /// (Evaluate*WithRecovery) or a single guarded attempt. The result is
-  /// computed entirely against the pinned epoch: commits landing
-  /// mid-query are invisible, and the answer is bit-identical to a
-  /// direct Evaluate* call on a binding of the same versions.
+  /// `opts.klass`, then walk the recovery ladder
+  /// (Evaluate*WithRecovery). The result is computed entirely against
+  /// the pinned epoch: commits landing mid-query are invisible, and the
+  /// answer is bit-identical to a direct Evaluate*WithRecovery call on a
+  /// binding of the same versions.
   /// @{
   ExecResult QueryBoolean(const Snapshot& snap, const Hypergraph& h,
                           const std::vector<std::string>& atoms, bool* result,
@@ -248,9 +244,12 @@ class Database {
                        RecoveryReport* report = nullptr) const;
   /// @}
 
-  /// Width planning against a snapshot: ComputeWidths with the
-  /// WidthCache keyed by the snapshot's binding digest, so a commit to
-  /// any bound relation invalidates the cached entry for new queries.
+  /// Width planning against a snapshot: binds and validates `atoms`
+  /// like the Query* entry points (kInvalidArgument on an unknown name
+  /// or a schema that disagrees with its hyperedge), then runs
+  /// ComputeWidths with the WidthCache keyed by the snapshot's binding
+  /// digest, so a commit to any bound relation invalidates the cached
+  /// entry for new queries.
   ExecResult PlanWidths(const Snapshot& snap, const Hypergraph& h,
                         const std::vector<std::string>& atoms,
                         const Rational& omega, WidthReport* out,

@@ -11,8 +11,8 @@
 /// operator/engine stack — which is exception-safe: scratch-arena leases
 /// and memory charges are RAII, and ThreadPool::Run captures worker
 /// exceptions and rethrows on the caller — until a status-returning
-/// entry point (RunGuarded in exec_context.h, the *Guarded engine
-/// wrappers, core/api.h EvaluateBooleanGuarded) converts it into an
+/// entry point (RunGuarded in exec_context.h, or the core/api.h
+/// Evaluate*WithRecovery ladders built on it) converts it into an
 /// ExecResult. Programmer errors (contract violations) remain
 /// FMMSW_CHECK aborts; QueryAbort is reserved for data- and
 /// resource-dependent failures a correct program can hit at runtime.
@@ -33,7 +33,7 @@ namespace fmmsw {
 /// Terminal status of a guarded execution.
 enum class ExecStatus {
   kOk = 0,
-  kCancelled,            ///< QueryGuard::Cancel() (or fault injection) fired
+  kCancelled,            ///< QueryGuard::Cancel() (or a poll hook) fired
   kDeadlineExceeded,     ///< wall-clock deadline passed at a poll point
   kMemoryLimitExceeded,  ///< tracked allocations exceeded the byte budget
   kCapacityExceeded,     ///< structural cap (2^30-entry flat index,

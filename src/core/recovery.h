@@ -56,10 +56,6 @@ struct RetryPolicy {
   /// Total attempt cap across the ladder (safety net; the ladder length
   /// is the natural bound).
   int max_attempts = 4;
-  /// Re-arm each attempt with the *remaining* wall-clock budget instead
-  /// of restarting the full deadline (only meaningful when the caller's
-  /// limits carry a deadline).
-  bool rearm_deadline = true;
   /// Give up (kDeadlineExceeded) instead of launching an attempt with
   /// less than this much wall-clock budget left.
   int64_t min_remaining_ms = 1;

@@ -53,9 +53,10 @@ const std::vector<StrategyCard>& TriangleCountLadder();
 /// plain WCOJ.
 const std::vector<StrategyCard>& TriangleBooleanLadder();
 
-/// Degradation ladder for a generic Boolean query, by EvalStrategy name
-/// ("elimination" -> "best-td" -> "wcoj"): the GVEO interpreter and TD
-/// plans materialize bags, the WCOJ streams.
+/// Degradation ladder for a generic Boolean query: "elimination" (the
+/// GVEO interpreter over ForLoopPlan) -> "best-td" (TdBooleanBest) ->
+/// "wcoj" (WcojBoolean). The first two materialize bags, the WCOJ
+/// streams.
 const std::vector<StrategyCard>& GenericBooleanLadder();
 
 /// True iff `h` is exactly the paper's triangle query in its canonical

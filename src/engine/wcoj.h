@@ -15,7 +15,6 @@
 /// order (and WcojJoin canonically sorts), so results are identical for
 /// every thread count.
 
-#include "core/exec_status.h"
 #include "hypergraph/hypergraph.h"
 #include "relation/relation.h"
 
@@ -38,27 +37,6 @@ Relation WcojJoin(const Hypergraph& h, const QueryInput& db, VarSet output_vars,
 /// Counts the tuples of the full join without materializing projections.
 int64_t WcojCount(const Hypergraph& h, const QueryInput& db,
                   ExecContext* ctx = nullptr);
-
-/// \name Guarded entry points
-/// Status-returning variants that arm `limits` on the context's guard for
-/// the duration of the call (see RunGuarded in core/exec_context.h). On
-/// any non-kOk status the output parameter is untouched, the guard is
-/// disarmed and the context is immediately reusable. WcojCountGuarded
-/// enforces deadline/memory/cancellation but not max_output_rows (a count
-/// materializes nothing).
-/// @{
-ExecResult WcojBooleanGuarded(const Hypergraph& h, const QueryInput& db,
-                              bool* result, ExecContext* ctx = nullptr,
-                              const QueryLimits& limits = {});
-ExecResult WcojJoinGuarded(const Hypergraph& h, const QueryInput& db,
-                           VarSet output_vars, Relation* result,
-                           const std::vector<int>* order = nullptr,
-                           ExecContext* ctx = nullptr,
-                           const QueryLimits& limits = {});
-ExecResult WcojCountGuarded(const Hypergraph& h, const QueryInput& db,
-                            int64_t* result, ExecContext* ctx = nullptr,
-                            const QueryLimits& limits = {});
-/// @}
 
 }  // namespace fmmsw
 

@@ -110,7 +110,7 @@ inline uint64_t MixKey(uint64_t k) {
 /// 2^31 (entries > 2^30), turning the loop into an infinite hang. Row ids
 /// are int32_t, so entry counts beyond 2^30 are rejected outright — as a
 /// kCapacityExceeded QueryAbort, which the guarded entry points
-/// (RunGuarded, core/api.h EvaluateBooleanGuarded) convert to a returned
+/// (RunGuarded, core/api.h Evaluate*WithRecovery) convert to a returned
 /// status instead of killing the process over one oversized input.
 inline uint32_t TableCapacity(size_t entries) {
   if (entries > (size_t{1} << 30)) {

@@ -356,16 +356,23 @@ TEST(ServiceTest, QueryEntryPointsMatchDirectEvaluate) {
   ASSERT_TRUE(snap.Bind(kTriangleAtoms, &direct).ok());
 
   bool direct_bool = false;
-  ASSERT_TRUE(EvaluateBooleanGuarded(h, direct, &direct_bool).ok());
-  int64_t direct_count = -1;
-  ASSERT_TRUE(EvaluateCountGuarded(h, direct, &direct_count, &ec).ok());
-  Relation direct_join;
   ASSERT_TRUE(
-      EvaluateJoinGuarded(h, direct, h.vertices(), &direct_join, &ec).ok());
+      RunGuarded(ec, {}, [&] { direct_bool = WcojBoolean(h, direct, &ec); })
+          .ok());
+  int64_t direct_count = -1;
+  ASSERT_TRUE(
+      RunGuarded(ec, {}, [&] { direct_count = WcojCount(h, direct, &ec); })
+          .ok());
+  Relation direct_join;
+  ASSERT_TRUE(RunGuarded(ec, {}, [&] {
+                direct_join = WcojJoin(h, direct, h.vertices(), nullptr, &ec);
+              }).ok());
 
-  for (bool recovery : {false, true}) {
+  // Both admission classes route into the same recovery ladder.
+  for (QueryClass klass :
+       {QueryClass::kSmallProbe, QueryClass::kHeavyAnalytic}) {
     QueryOptions opts;
-    opts.use_recovery = recovery;
+    opts.klass = klass;
     bool b = !direct_bool;
     ASSERT_TRUE(db.QueryBoolean(snap, h, kTriangleAtoms, &b, opts, &ec).ok());
     EXPECT_EQ(b, direct_bool);
@@ -380,12 +387,20 @@ TEST(ServiceTest, QueryEntryPointsMatchDirectEvaluate) {
   }
   EXPECT_GE(ec.stats().admitted.load(), 6);
 
-  // Unknown atom name: clean kInvalidArgument from the binding step.
-  int64_t c = -1;
-  ExecResult bad =
-      db.QueryCount(snap, h, {"R", "S", "missing"}, &c, {}, &ec);
-  EXPECT_EQ(bad.status, ExecStatus::kInvalidArgument);
-  EXPECT_EQ(c, -1);
+  // Bad bindings get a clean kInvalidArgument from every entry point:
+  // an unknown atom name (binding step) and a swapped binding whose
+  // schemas disagree with the hyperedges (validation step).
+  const std::vector<std::vector<std::string>> bad_bindings = {
+      {"R", "S", "missing"}, {"S", "R", "T"}};
+  for (const std::vector<std::string>& atoms : bad_bindings) {
+    int64_t c = -1;
+    ExecResult bad = db.QueryCount(snap, h, atoms, &c, {}, &ec);
+    EXPECT_EQ(bad.status, ExecStatus::kInvalidArgument) << atoms[0];
+    EXPECT_EQ(c, -1);
+    WidthReport rep;
+    bad = db.PlanWidths(snap, h, atoms, Rational(2), &rep, {}, &ec);
+    EXPECT_EQ(bad.status, ExecStatus::kInvalidArgument) << atoms[0];
+  }
 }
 
 TEST(ServiceTest, AdmissionShedsWhenSaturated) {
@@ -584,7 +599,7 @@ TEST(FuzzTest, ValidateQueryRejectsMalformedPairsCleanly) {
     // The guarded entry point converts the same corruption to a status,
     // never an abort, and leaves the output untouched.
     bool out = false;
-    const ExecResult guarded = EvaluateBooleanGuarded(h, db, &out);
+    const ExecResult guarded = EvaluateBooleanWithRecovery(h, db, &out);
     EXPECT_EQ(guarded.status, res.status);
   }
 }
@@ -647,10 +662,23 @@ void RunTorture(int reader_threads, int last_epoch, bool fault_plan) {
 
   std::atomic<bool> done{false};
   std::atomic<int64_t> reads{0};
+  // Readers that finished their first read (or bailed out on a failed
+  // assertion): the writer holds its first commit until all have, so
+  // every reader overlaps the commit stream and `reads` cannot be 0.
+  std::atomic<int> started{0};
   std::vector<std::thread> readers;
   readers.reserve(static_cast<size_t>(reader_threads));
   for (int i = 0; i < reader_threads; ++i) {
-    readers.emplace_back([&db, &h, &oracle, &done, &reads, i]() {
+    readers.emplace_back([&db, &h, &oracle, &done, &reads, &started, i]() {
+      struct StartedMark {
+        std::atomic<int>* started;
+        bool marked = false;
+        void Mark() {
+          if (!marked) started->fetch_add(1, std::memory_order_release);
+          marked = true;
+        }
+        ~StartedMark() { Mark(); }
+      } mark{&started};
       ExecContext ec(1);
       uint64_t iter = 0;
       while (!done.load(std::memory_order_acquire)) {
@@ -675,10 +703,14 @@ void RunTorture(int reader_threads, int last_epoch, bool fault_plan) {
         }
         ++iter;
         reads.fetch_add(1, std::memory_order_relaxed);
+        mark.Mark();
       }
     });
   }
 
+  while (started.load(std::memory_order_acquire) < reader_threads) {
+    std::this_thread::yield();
+  }
   for (int e = 2; e <= last_epoch; ++e) {
     if (fault_plan) {
       // First attempt aborts at a staging ordinal: readers must never

@@ -382,9 +382,9 @@ TEST(ApiTest, EvaluateStrategiesAgree) {
   Hypergraph h = Hypergraph::Cycle(4);
   QueryInput db = MakeWorkload(h, opts);
   const bool expect = BruteForceBoolean(h, db);
-  EXPECT_EQ(EvaluateBoolean(h, db, EvalStrategy::kWcoj), expect);
-  EXPECT_EQ(EvaluateBoolean(h, db, EvalStrategy::kBestTd), expect);
-  EXPECT_EQ(EvaluateBoolean(h, db, EvalStrategy::kElimination), expect);
+  EXPECT_EQ(WcojBoolean(h, db), expect);
+  EXPECT_EQ(TdBooleanBest(h, db), expect);
+  EXPECT_EQ(ExecutePlan(h, db, ForLoopPlan(h)), expect);
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
+#include <functional>
 #include <limits>
 #include <set>
 #include <string>
@@ -16,7 +16,9 @@
 
 #include "core/api.h"
 #include "core/exec_context.h"
+#include "engine/elimination.h"
 #include "engine/four_cycle.h"
+#include "engine/td_eval.h"
 #include "engine/triangle.h"
 #include "engine/wcoj.h"
 #include "gtest/gtest.h"
@@ -447,9 +449,9 @@ TEST(ParallelWcojTest, EnginesAgreeUnderParallelContext) {
   QueryInput db = MakeWorkload(h, opts);
   ExecContext ec(4);
   const bool expect = TriangleCombinatorial(db, &ec);
-  EXPECT_EQ(EvaluateBoolean(h, db, EvalStrategy::kWcoj, &ec), expect);
-  EXPECT_EQ(EvaluateBoolean(h, db, EvalStrategy::kBestTd, &ec), expect);
-  EXPECT_EQ(EvaluateBoolean(h, db, EvalStrategy::kElimination, &ec), expect);
+  EXPECT_EQ(WcojBoolean(h, db, &ec), expect);
+  EXPECT_EQ(TdBooleanBest(h, db, &ec), expect);
+  EXPECT_EQ(ExecutePlan(h, db, ForLoopPlan(h), {}, nullptr, &ec), expect);
   EXPECT_EQ(TriangleMm(db, 2.371552, MmKernel::kBoolean, nullptr, &ec),
             expect);
 }
@@ -593,30 +595,63 @@ QueryInput GuardWorkload(uint64_t seed) {
   return MakeWorkload(Hypergraph::Triangle(), opts);
 }
 
+/// Installs a poll hook that aborts every armed poll from global ordinal
+/// `n` on with kCancelled — sticky, like a real resource violation, so
+/// every worker of a fan-out unwinds once one trips. Clear it with
+/// SetPollHook(nullptr).
+void InjectFaultAt(ExecContext& ec, int64_t n) {
+  ec.guard().SetPollHook([n](int64_t poll) {
+    if (poll >= n) {
+      throw QueryAbort(ExecStatus::kCancelled,
+                       "fault injection fired at poll #" +
+                           std::to_string(poll));
+    }
+  });
+}
+
+Relation GuardedJoin(const Hypergraph& h, const QueryInput& db,
+                     ExecContext& ec, const QueryLimits& limits,
+                     ExecResult* status) {
+  Relation out;
+  *status = RunGuarded(
+      ec, limits, [&] { out = WcojJoin(h, db, h.vertices(), nullptr, &ec); });
+  return out;
+}
+
 TEST(GuardrailTest, FaultInjectionUnwindsAndContextIsReusable) {
   const Hypergraph h = Hypergraph::Triangle();
-  const QueryInput db = GuardWorkload(71);
-  ExecContext ref_ec(1);
-  const Relation ref = WcojJoin(h, db, h.vertices(), nullptr, &ref_ec);
-  ASSERT_FALSE(ref.empty());
-  for (int threads : {1, 2, 4, 8}) {
+  struct Sweep {
+    uint64_t seed;
+    int threads;
+    std::vector<int64_t> fault_points;
+  };
+  // Seed 71: the serial run crosses ~a dozen morsel boundaries on this
+  // input; the parallel runs (task + coop block claims) cross ~100. Sweep
+  // fault points across the span each regime actually reaches. Seed 79:
+  // the first poll, inside the first morsel, and deep in steady state,
+  // at the thread counts the sanitizer jobs run.
+  const std::vector<Sweep> sweeps = {
+      {71, 1, {1, 3, 10}},         {71, 2, {1, 3, 10, 40, 90}},
+      {71, 4, {1, 3, 10, 40, 90}}, {71, 8, {1, 3, 10, 40, 90}},
+      {79, 4, {1, 7, 100}},        {79, 8, {1, 7, 100}},
+  };
+  for (const Sweep& sweep : sweeps) {
+    const QueryInput db = GuardWorkload(sweep.seed);
+    ExecContext ref_ec(1);
+    const Relation ref = WcojJoin(h, db, h.vertices(), nullptr, &ref_ec);
+    ASSERT_FALSE(ref.empty());
+    const int threads = sweep.threads;
     ExecContext ec(threads);
-    // The serial run crosses ~a dozen morsel boundaries on this input;
-    // the parallel runs (task + coop block claims) cross ~100. Sweep
-    // fault points across the span each regime actually reaches.
-    std::vector<int64_t> fault_points = {1, 3, 10};
-    if (threads > 1) {
-      fault_points.push_back(40);
-      fault_points.push_back(90);
-    }
-    for (int64_t fault_at : fault_points) {
-      ec.guard().SetFaultAt(fault_at);
-      Relation out;
-      const ExecResult r =
-          WcojJoinGuarded(h, db, h.vertices(), &out, nullptr, &ec);
+    for (int64_t fault_at : sweep.fault_points) {
+      InjectFaultAt(ec, fault_at);
+      ExecResult r;
+      const Relation out = GuardedJoin(h, db, ec, {}, &r);
+      ec.guard().SetPollHook(nullptr);
       ASSERT_EQ(r.status, ExecStatus::kCancelled)
-          << "threads=" << threads << " fault_at=" << fault_at;
+          << "seed=" << sweep.seed << " threads=" << threads
+          << " fault_at=" << fault_at;
       EXPECT_NE(r.message.find("fault injection"), std::string::npos);
+      EXPECT_TRUE(out.empty());
       // The unwind must leave the context balanced: no leaked memory
       // charges, every scratch arena released.
       EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0)
@@ -626,13 +661,13 @@ TEST(GuardrailTest, FaultInjectionUnwindsAndContextIsReusable) {
         ec.scratch(w).Release();
       }
       // The same context runs the same query to completion,
-      // bit-identically (Disarm cleared the fault).
-      Relation again;
-      const ExecResult ok =
-          WcojJoinGuarded(h, db, h.vertices(), &again, nullptr, &ec);
+      // bit-identically (the fault hook is gone).
+      ExecResult ok;
+      const Relation again = GuardedJoin(h, db, ec, {}, &ok);
       ASSERT_TRUE(ok.ok()) << StatusString(ok.status) << ": " << ok.message;
       EXPECT_EQ(Rows(again), Rows(ref))
-          << "threads=" << threads << " fault_at=" << fault_at;
+          << "seed=" << sweep.seed << " threads=" << threads
+          << " fault_at=" << fault_at;
     }
   }
 }
@@ -645,15 +680,15 @@ TEST(GuardrailTest, FaultInjectionMidSortAndMidIndexBuild) {
   const KeySpec spec(big, VarSet{0});
   for (int threads : {1, 4}) {
     ExecContext ec(threads);
-    ec.guard().SetFaultAt(2);
+    InjectFaultAt(ec, 2);
     ExecResult r = RunGuarded(ec, {}, [&] {
       Relation s = input;
       s.SortAndDedupe(&ec);
     });
     EXPECT_EQ(r.status, ExecStatus::kCancelled) << "threads=" << threads;
     EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
-    ec.guard().SetFaultAt(2);
     r = RunGuarded(ec, {}, [&] { FlatMultimap idx(big, spec, &ec); });
+    ec.guard().SetPollHook(nullptr);
     // Poll points sit at the sharded build's chunk claims; the 1-thread
     // serial build is a poll-free tight loop and completes.
     EXPECT_EQ(r.status, threads > 1 ? ExecStatus::kCancelled
@@ -670,34 +705,6 @@ TEST(GuardrailTest, FaultInjectionMidSortAndMidIndexBuild) {
   }
 }
 
-// Driven by the CI sanitizer job: FMMSW_FAULT_AT=<n> in the environment
-// is read at Arm() time and must abort the guarded run at poll n exactly
-// like the in-process SetFaultAt. Run standalone (gtest_filter) — the env
-// var poisons every other guarded re-run in this file.
-TEST(GuardrailTest, EnvFaultInjection) {
-  if (std::getenv("FMMSW_FAULT_AT") == nullptr) {
-    GTEST_SKIP() << "set FMMSW_FAULT_AT=<poll#> to run";
-  }
-  const Hypergraph h = Hypergraph::Triangle();
-  const QueryInput db = GuardWorkload(79);
-  ExecContext ec(4);
-  Relation out;
-  const ExecResult r = WcojJoinGuarded(h, db, h.vertices(), &out, nullptr,
-                                       &ec, {});
-  EXPECT_EQ(r.status, ExecStatus::kCancelled);
-  EXPECT_NE(r.message.find("fault injection"), std::string::npos);
-  EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
-  // With the env fault gone, the same context completes the same query.
-  unsetenv("FMMSW_FAULT_AT");
-  Relation again;
-  const ExecResult ok =
-      WcojJoinGuarded(h, db, h.vertices(), &again, nullptr, &ec);
-  ASSERT_TRUE(ok.ok()) << ok.message;
-  ExecContext ref_ec(1);
-  EXPECT_EQ(Rows(again),
-            Rows(WcojJoin(h, db, h.vertices(), nullptr, &ref_ec)));
-}
-
 TEST(GuardrailTest, CancellationViaPollHook) {
   const Hypergraph h = Hypergraph::Triangle();
   const QueryInput db = GuardWorkload(74);
@@ -706,13 +713,15 @@ TEST(GuardrailTest, CancellationViaPollHook) {
     if (poll == 10) ec.guard().Cancel();
   });
   int64_t count = -1;
-  const ExecResult r = WcojCountGuarded(h, db, &count, &ec);
+  const ExecResult r =
+      RunGuarded(ec, {}, [&] { count = WcojCount(h, db, &ec); });
   ec.guard().SetPollHook(nullptr);
   EXPECT_EQ(r.status, ExecStatus::kCancelled);
   EXPECT_EQ(count, -1);  // output untouched on failure
   EXPECT_GE(ec.guard().polls(), 10);
   // Reusable afterwards, and cancellation did not stick.
-  const ExecResult ok = WcojCountGuarded(h, db, &count, &ec);
+  const ExecResult ok =
+      RunGuarded(ec, {}, [&] { count = WcojCount(h, db, &ec); });
   ASSERT_TRUE(ok.ok()) << ok.message;
   ExecContext ref_ec(1);
   EXPECT_EQ(count, WcojCount(h, db, &ref_ec));
@@ -731,7 +740,8 @@ TEST(GuardrailTest, PollHookFiresConcurrentlyAtEightWorkers) {
   std::atomic<int64_t> fires(0);
   ec.guard().SetPollHook([&fires](int64_t) { fires.fetch_add(1); });
   int64_t count = -1;
-  const ExecResult r = WcojCountGuarded(h, db, &count, &ec);
+  const ExecResult r =
+      RunGuarded(ec, {}, [&] { count = WcojCount(h, db, &ec); });
   ec.guard().SetPollHook(nullptr);
   ASSERT_TRUE(r.ok()) << r.message;
   EXPECT_GT(fires.load(), 0);
@@ -753,15 +763,15 @@ TEST(GuardrailTest, DeadlineExceededTerminatesEarly) {
   // A count visits the whole join (no witness short-circuit), so the run
   // is guaranteed to keep polling until the deadline trips.
   int64_t count = -1;
-  const ExecResult r =
-      WcojCountGuarded(h, db, &count, &ec, {.deadline_ms = 5});
+  const ExecResult r = RunGuarded(ec, {.deadline_ms = 5},
+                                  [&] { count = WcojCount(h, db, &ec); });
   ec.guard().SetPollHook(nullptr);
   EXPECT_EQ(r.status, ExecStatus::kDeadlineExceeded);
   EXPECT_EQ(count, -1);
   // Fresh run on the same context succeeds.
   bool answer = false;
   const ExecResult ok =
-      EvaluateBooleanGuarded(h, db, &answer, EvalStrategy::kWcoj, &ec);
+      RunGuarded(ec, {}, [&] { answer = WcojBoolean(h, db, &ec); });
   ASSERT_TRUE(ok.ok()) << ok.message;
   EXPECT_TRUE(answer);  // witness planted
 }
@@ -770,18 +780,17 @@ TEST(GuardrailTest, MemoryBudgetExceededAndBalancedAfter) {
   const Hypergraph h = Hypergraph::Triangle();
   const QueryInput db = GuardWorkload(76);
   ExecContext ec(2);
-  Relation out;
+  ExecResult r;
   // The trie build alone charges ~3 * 4000 rows * 2 cols * 8 bytes.
-  const ExecResult r = WcojJoinGuarded(h, db, h.vertices(), &out, nullptr,
-                                       &ec, {.memory_budget_bytes = 16384});
+  Relation out = GuardedJoin(h, db, ec, {.memory_budget_bytes = 16384}, &r);
   EXPECT_EQ(r.status, ExecStatus::kMemoryLimitExceeded);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
   EXPECT_GT(ec.stats().mem_peak_bytes.load(), 0);
   // An ample budget lets the same query through on the same context.
-  const ExecResult ok =
-      WcojJoinGuarded(h, db, h.vertices(), &out, nullptr, &ec,
-                      {.memory_budget_bytes = int64_t{1} << 32});
+  ExecResult ok;
+  out = GuardedJoin(h, db, ec, {.memory_budget_bytes = int64_t{1} << 32},
+                    &ok);
   ASSERT_TRUE(ok.ok()) << ok.message;
   EXPECT_FALSE(out.empty());
   EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
@@ -813,17 +822,17 @@ TEST(GuardrailTest, InvalidArgumentFromValidation) {
   // Relation-count mismatch.
   QueryInput short_db;
   short_db.relations.push_back(db.relations.ptr(0));
-  EXPECT_EQ(EvaluateBooleanGuarded(h, short_db, &answer).status,
+  EXPECT_EQ(EvaluateBooleanWithRecovery(h, short_db, &answer).status,
             ExecStatus::kInvalidArgument);
   // Schema mismatch: swap two relations so schemas disagree with edges.
   QueryInput swapped = db;
   swapped.relations.Swap(0, 1);
-  EXPECT_EQ(EvaluateBooleanGuarded(h, swapped, &answer).status,
+  EXPECT_EQ(EvaluateBooleanWithRecovery(h, swapped, &answer).status,
             ExecStatus::kInvalidArgument);
   EXPECT_EQ(ValidateQuery(h, swapped).status, ExecStatus::kInvalidArgument);
   // The untouched database validates and evaluates.
   EXPECT_TRUE(ValidateQuery(h, db).ok());
-  const ExecResult ok = EvaluateBooleanGuarded(h, db, &answer);
+  const ExecResult ok = EvaluateBooleanWithRecovery(h, db, &answer);
   ASSERT_TRUE(ok.ok()) << ok.message;
   EXPECT_TRUE(answer);
 }
@@ -831,13 +840,19 @@ TEST(GuardrailTest, InvalidArgumentFromValidation) {
 TEST(GuardrailTest, GuardedMatchesUnguardedForEveryStrategy) {
   const Hypergraph h = Hypergraph::Triangle();
   const QueryInput db = GuardWorkload(78);
-  for (EvalStrategy strategy : {EvalStrategy::kWcoj, EvalStrategy::kBestTd,
-                                EvalStrategy::kElimination}) {
+  const std::vector<std::function<bool(ExecContext*)>> engines = {
+      [&](ExecContext* ec) { return WcojBoolean(h, db, ec); },
+      [&](ExecContext* ec) { return TdBooleanBest(h, db, ec); },
+      [&](ExecContext* ec) {
+        return ExecutePlan(h, db, ForLoopPlan(h), {}, nullptr, ec);
+      },
+  };
+  for (const auto& engine : engines) {
     ExecContext ec(4);
-    const bool plain = EvaluateBoolean(h, db, strategy, &ec);
+    const bool plain = engine(&ec);
     bool guarded = !plain;
-    const ExecResult r = EvaluateBooleanGuarded(h, db, &guarded, strategy,
-                                                &ec, {.deadline_ms = 60000});
+    const ExecResult r = RunGuarded(ec, {.deadline_ms = 60000},
+                                    [&] { guarded = engine(&ec); });
     ASSERT_TRUE(r.ok()) << r.message;
     EXPECT_EQ(guarded, plain);
   }
