@@ -156,52 +156,27 @@ bool CliqueMm(int k, const QueryInput& db, MmKernel kernel, CliqueStats* stats,
   };
   // The compatibility fills and the final check only read the shared pair
   // sets; rows are partitioned across threads, so the row-local writes
-  // (bit words / matrix cells of row i) never conflict.
-  if (kernel == MmKernel::kBoolean) {
-    BitMatrix mab(na, nb), mbc(nb, nc);
-    ParallelFor(ec.pool(), na, [&](int64_t begin, int64_t end) {
+  // (the bit words of row i) never conflict. The O(n1 * n2) fills poll
+  // the guard at every chunk claim.
+  auto fill = [&](const std::vector<int>& g1, const Relation& r1, int n1,
+                  const std::vector<int>& g2, const Relation& r2, int n2) {
+    BitMatrix m(n1, n2);
+    ParallelFor(ec, FaultSite::kMm, n1, [&](int64_t begin, int64_t end) {
       for (int64_t i = begin; i < end; ++i) {
-        for (int j = 0; j < nb; ++j) {
-          if (compat(ga, la, i, gb, lb, j)) mab.Set(i, j);
+        for (int j = 0; j < n2; ++j) {
+          if (compat(g1, r1, i, g2, r2, j)) m.Set(i, j);
         }
       }
     });
-    ParallelFor(ec.pool(), nb, [&](int64_t begin, int64_t end) {
-      for (int64_t i = begin; i < end; ++i) {
-        for (int j = 0; j < nc; ++j) {
-          if (compat(gb, lb, i, gc, lc, j)) mbc.Set(i, j);
-        }
-      }
-    });
-    Bump(ec.stats().mm_products);
-    BitMatrix p = BitMatrix::Multiply(mab, mbc, &ec);
-    return ParallelAnyOf(ec.pool(), na, [&](int64_t i) {
-      for (int j = 0; j < nc; ++j) {
-        if (p.Get(i, j) && compat(ga, la, i, gc, lc, j)) return true;
-      }
-      return false;
-    });
-  }
-  Matrix mab(na, nb), mbc(nb, nc);
-  ParallelFor(ec.pool(), na, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      for (int j = 0; j < nb; ++j) {
-        if (compat(ga, la, i, gb, lb, j)) mab.At(i, j) = 1;
-      }
-    }
-  });
-  ParallelFor(ec.pool(), nb, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      for (int j = 0; j < nc; ++j) {
-        if (compat(gb, lb, i, gc, lc, j)) mbc.At(i, j) = 1;
-      }
-    }
-  });
+    return m;
+  };
+  const BitMatrix mab = fill(ga, la, na, gb, lb, nb);
+  const BitMatrix mbc = fill(gb, lb, nb, gc, lc, nc);
   Bump(ec.stats().mm_products);
-  Matrix p = CountingProduct(mab, mbc, kernel, &ec);
+  const BitMatrix p = BooleanProduct(mab, mbc, kernel, &ec);
   return ParallelAnyOf(ec.pool(), na, [&](int64_t i) {
     for (int j = 0; j < nc; ++j) {
-      if (p.At(i, j) != 0 && compat(ga, la, i, gc, lc, j)) return true;
+      if (p.Get(i, j) && compat(ga, la, i, gc, lc, j)) return true;
     }
     return false;
   });

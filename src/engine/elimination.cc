@@ -246,37 +246,19 @@ void EliminateMm(State* s, VarSet block, const MmExpr& mm,
     };
     const auto xkeys = xs.Reverse(), ykeys = ys.Reverse();
     Bump(ExecContext::Resolve(ec).stats().mm_products);
-    if (opts.kernel == MmKernel::kBoolean) {
-      BitMatrix ma(xs.size(), zs.size()), mb(zs.size(), ys.size());
-      for (size_t r : rows.first) {
-        ma.Set(xs.Find(ExtractKey(m1, r, m1_x)),
-               zs.Find(ExtractKey(m1, r, m1_z)));
-      }
-      for (size_t r : rows.second) {
-        mb.Set(zs.Find(ExtractKey(m2, r, m2_z)),
-               ys.Find(ExtractKey(m2, r, m2_y)));
-      }
-      BitMatrix mc = BitMatrix::Multiply(ma, mb, ec);
-      for (int i = 0; i < mc.rows(); ++i) {
-        for (int j = 0; j < mc.cols(); ++j) {
-          if (mc.Get(i, j)) emit(i, j, xkeys, ykeys);
-        }
-      }
-    } else {
-      Matrix ma(xs.size(), zs.size()), mb(zs.size(), ys.size());
-      for (size_t r : rows.first) {
-        ma.At(xs.Find(ExtractKey(m1, r, m1_x)),
-              zs.Find(ExtractKey(m1, r, m1_z))) = 1;
-      }
-      for (size_t r : rows.second) {
-        mb.At(zs.Find(ExtractKey(m2, r, m2_z)),
-              ys.Find(ExtractKey(m2, r, m2_y))) = 1;
-      }
-      Matrix mc = CountingProduct(ma, mb, opts.kernel, ec);
-      for (int i = 0; i < mc.rows(); ++i) {
-        for (int j = 0; j < mc.cols(); ++j) {
-          if (mc.At(i, j) != 0) emit(i, j, xkeys, ykeys);
-        }
+    BitMatrix ma(xs.size(), zs.size()), mb(zs.size(), ys.size());
+    for (size_t r : rows.first) {
+      ma.Set(xs.Find(ExtractKey(m1, r, m1_x)),
+             zs.Find(ExtractKey(m1, r, m1_z)));
+    }
+    for (size_t r : rows.second) {
+      mb.Set(zs.Find(ExtractKey(m2, r, m2_z)),
+             ys.Find(ExtractKey(m2, r, m2_y)));
+    }
+    const BitMatrix mc = BooleanProduct(ma, mb, opts.kernel, ec);
+    for (int i = 0; i < mc.rows(); ++i) {
+      for (int j = 0; j < mc.cols(); ++j) {
+        if (mc.Get(i, j)) emit(i, j, xkeys, ykeys);
       }
     }
   }

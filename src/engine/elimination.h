@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "hypergraph/hypergraph.h"
-#include "mm/kernel.h"  // MmKernel / CountingProduct, shared by every engine
+#include "mm/kernel.h"  // MmKernel / BooleanProduct, shared by every engine
 #include "relation/relation.h"
 #include "width/mm_expr.h"
 

@@ -177,8 +177,7 @@ bool FourCycleMm(const QueryInput& db, double omega, MmKernel kernel,
   // w >= 5/2 regime where the combinatorial split is already optimal).
   const double exp_delta =
       std::min(0.5, 2.0 * (omega - 1.0) / (2.0 * omega + 1.0));
-  const int64_t delta = std::max<int64_t>(
-      1, static_cast<int64_t>(std::ceil(std::pow(n, exp_delta))));
+  const int64_t delta = DegreeThreshold(n, exp_delta);
 
   MiddleSplit ys = SplitMiddle(r, s, kY, VarSet{kX}, VarSet{kZ}, delta, &ec);
   MiddleSplit ws = SplitMiddle(t, u, kW, VarSet{kZ}, VarSet{kX}, delta, &ec);
@@ -252,31 +251,31 @@ bool FourCycleMm(const QueryInput& db, double omega, MmKernel kernel,
   const int nx = xi.size();
   const int nz = zi.size();
 
-  auto multiply = [&](const Matrix& a, const Matrix& b) {
+  auto multiply = [&](const BitMatrix& a, const BitMatrix& b) {
     Bump(ec.stats().mm_products);
-    return CountingProduct(a, b, kernel, &ec);
+    return BooleanProduct(a, b, kernel, &ec);
   };
   // B1 = U_h (w by x) times R_h (x by y).
-  Matrix mu(nw, nx), mr(nx, ny);
+  BitMatrix mu(nw, nx), mr(nx, ny);
   for (size_t row = 0; row < uh.size(); ++row) {
-    mu.At(wi.FindValue(uh.Get(row, kW)), xi.FindValue(uh.Get(row, kX))) = 1;
+    mu.Set(wi.FindValue(uh.Get(row, kW)), xi.FindValue(uh.Get(row, kX)));
   }
   for (size_t row = 0; row < rh.size(); ++row) {
-    mr.At(xi.FindValue(rh.Get(row, kX)), yi.FindValue(rh.Get(row, kY))) = 1;
+    mr.Set(xi.FindValue(rh.Get(row, kX)), yi.FindValue(rh.Get(row, kY)));
   }
-  Matrix b1 = multiply(mu, mr);
+  const BitMatrix b1 = multiply(mu, mr);
   // B2 = S_h (y by z) times T_h (z by w).
-  Matrix ms(ny, nz), mt(nz, nw);
+  BitMatrix ms(ny, nz), mt(nz, nw);
   for (size_t row = 0; row < sh.size(); ++row) {
-    ms.At(yi.FindValue(sh.Get(row, kY)), zi.FindValue(sh.Get(row, kZ))) = 1;
+    ms.Set(yi.FindValue(sh.Get(row, kY)), zi.FindValue(sh.Get(row, kZ)));
   }
   for (size_t row = 0; row < th.size(); ++row) {
-    mt.At(zi.FindValue(th.Get(row, kZ)), wi.FindValue(th.Get(row, kW))) = 1;
+    mt.Set(zi.FindValue(th.Get(row, kZ)), wi.FindValue(th.Get(row, kW)));
   }
-  Matrix b2 = multiply(ms, mt);
+  const BitMatrix b2 = multiply(ms, mt);
   for (int y = 0; y < ny; ++y) {
     for (int w = 0; w < nw; ++w) {
-      if (b1.At(w, y) != 0 && b2.At(y, w) != 0) return true;
+      if (b1.Get(w, y) && b2.Get(y, w)) return true;
     }
   }
   return false;

@@ -35,8 +35,7 @@ bool Pyramid3Mm(const QueryInput& db, double omega, MmKernel kernel,
   const Relation& base = db.relations[3];  // B(X1, X2, X3)
   const double n = static_cast<double>(db.TotalSize());
   if (n == 0) return false;
-  const int64_t delta = std::max<int64_t>(
-      1, static_cast<int64_t>(std::ceil(std::pow(n, 1.0 - 1.0 / omega))));
+  const int64_t delta = DegreeThreshold(n, 1.0 - 1.0 / omega);
   const int64_t sqrt_delta = std::max<int64_t>(
       1, static_cast<int64_t>(std::ceil(std::sqrt(
              static_cast<double>(delta)))));
@@ -176,8 +175,8 @@ bool Pyramid3Mm(const QueryInput& db, double omega, MmKernel kernel,
           }
         }
         if (x2i.size() == 0 || x3i.size() == 0) return false;
-        Matrix m1(x2i.size(), yi.size());
-        Matrix m2(yi.size(), x3i.size());
+        BitMatrix m1(x2i.size(), yi.size());
+        BitMatrix m2(yi.size(), x3i.size());
         for (int32_t row = y_of_x1.First(x1key); row >= 0;
              row = y_of_x1.Next(row)) {
           const Value y = r1h.Row(row)[r1h_y_col];
@@ -185,20 +184,20 @@ bool Pyramid3Mm(const QueryInput& db, double omega, MmKernel kernel,
           const uint64_t ykey = static_cast<uint32_t>(y);
           for (int32_t r2row = x2_of_y.First(ykey); r2row >= 0;
                r2row = x2_of_y.Next(r2row)) {
-            m1.At(x2i.FindValue(r2h.Row(r2row)[r2h_x2_col]), yc) = 1;
+            m1.Set(x2i.FindValue(r2h.Row(r2row)[r2h_x2_col]), yc);
           }
           for (int32_t r3row = x3_of_y.First(ykey); r3row >= 0;
                r3row = x3_of_y.Next(r3row)) {
-            m2.At(yc, x3i.FindValue(r3h.Row(r3row)[r3h_x3_col])) = 1;
+            m2.Set(yc, x3i.FindValue(r3h.Row(r3row)[r3h_x3_col]));
           }
         }
         Bump(ec.stats().mm_products);
-        Matrix prod = CountingProduct(m1, m2, kernel, &ec);
+        const BitMatrix prod = BooleanProduct(m1, m2, kernel, &ec);
         for (int32_t brow = base_by_x1.First(x1key); brow >= 0;
              brow = base_by_x1.Next(brow)) {
           const int i2 = x2i.FindValue(base.Row(brow)[base_x2_col]);
           const int i3 = x3i.FindValue(base.Row(brow)[base_x3_col]);
-          if (i2 >= 0 && i3 >= 0 && prod.At(i2, i3) != 0) return true;
+          if (i2 >= 0 && i3 >= 0 && prod.Get(i2, i3)) return true;
         }
         return false;
       });

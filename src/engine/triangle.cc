@@ -1,7 +1,5 @@
 #include "engine/triangle.h"
 
-#include <cmath>
-
 #include "core/exec_context.h"
 #include "engine/wcoj.h"
 #include "hypergraph/hypergraph.h"
@@ -16,21 +14,6 @@ namespace fmmsw {
 namespace {
 
 constexpr int kX = 0, kY = 1, kZ = 2;
-
-/// Dense index over the values appearing in a unary relation (flat
-/// open-addressing interner; no per-node allocation). The bulk build is
-/// context-aware: large inputs are interned via the sharded parallel path
-/// with ids still in first-occurrence order.
-class ValueIndex {
- public:
-  ValueIndex(const Relation& unary, ExecContext* ctx)
-      : map_(unary, KeySpec(unary, unary.schema()), ctx) {}
-  int Find(Value v) const { return map_.FindValue(v); }
-  int size() const { return map_.size(); }
-
- private:
-  FlatInterner map_;
-};
 
 }  // namespace
 
@@ -47,9 +30,7 @@ bool TriangleMm(const QueryInput& db, double omega, MmKernel kernel,
   const Relation& t = db.relations[2];  // T(X,Z)
   const double n = static_cast<double>(db.TotalSize());
   if (n == 0) return false;
-  const int64_t delta = std::max<int64_t>(
-      1, static_cast<int64_t>(std::ceil(
-             std::pow(n, (omega - 1.0) / (omega + 1.0)))));
+  const int64_t delta = DegreeThreshold(n, (omega - 1.0) / (omega + 1.0));
 
   // Figure 1: three decomposition steps.
   auto pr = PartitionByDegree(r, VarSet{kY}, VarSet{kX}, delta, &ec);
@@ -86,48 +67,41 @@ bool TriangleMm(const QueryInput& db, double omega, MmKernel kernel,
     }
   }
 
-  // All-heavy core: M1 = Rh x Sh x R, M2 = Sh x Th x S, multiply, join T.
-  Relation m1 = SemijoinAll(r, {&pr.heavy, &ps.heavy}, &ec);
-  Relation m2 = SemijoinAll(s, {&ps.heavy, &pt.heavy}, &ec);
+  return HeavyTriangleCore(r, s, t, kX, kY, kZ, pr.heavy, ps.heavy, pt.heavy,
+                           kernel, stats, ec);
+}
+
+bool HeavyTriangleCore(const Relation& r, const Relation& s,
+                       const Relation& t, int x, int y, int z,
+                       const Relation& hx, const Relation& hy,
+                       const Relation& hz, MmKernel kernel,
+                       TriangleStats* stats, ExecContext& ec) {
+  // M1 = R restricted to heavy (x, y), M2 = S restricted to heavy (y, z).
+  Relation m1 = SemijoinAll(r, {&hx, &hy}, &ec);
+  Relation m2 = SemijoinAll(s, {&hy, &hz}, &ec);
   if (m1.empty() || m2.empty()) return false;
-  ValueIndex xi(pr.heavy, &ec);
-  ValueIndex yi(ps.heavy, &ec);
-  ValueIndex zi(pt.heavy, &ec);
+  const FlatInterner xi(hx, KeySpec(hx, hx.schema()), &ec);
+  const FlatInterner yi(hy, KeySpec(hy, hy.schema()), &ec);
+  const FlatInterner zi(hz, KeySpec(hz, hz.schema()), &ec);
   if (stats != nullptr) {
     stats->mm_dim_x = xi.size();
     stats->mm_dim_y = yi.size();
     stats->mm_dim_z = zi.size();
   }
   Bump(ec.stats().mm_products);
-  // Boolean product over heavy X x heavy Y x heavy Z.
-  if (kernel == MmKernel::kBoolean) {
-    BitMatrix a(xi.size(), yi.size()), b(yi.size(), zi.size());
-    for (size_t row = 0; row < m1.size(); ++row) {
-      a.Set(xi.Find(m1.Get(row, kX)), yi.Find(m1.Get(row, kY)));
-    }
-    for (size_t row = 0; row < m2.size(); ++row) {
-      b.Set(yi.Find(m2.Get(row, kY)), zi.Find(m2.Get(row, kZ)));
-    }
-    BitMatrix m = BitMatrix::Multiply(a, b, &ec);
-    for (size_t row = 0; row < t.size(); ++row) {
-      const int x = xi.Find(t.Get(row, kX));
-      const int z = zi.Find(t.Get(row, kZ));
-      if (x >= 0 && z >= 0 && m.Get(x, z)) return true;
-    }
-    return false;
-  }
-  Matrix a(xi.size(), yi.size()), b(yi.size(), zi.size());
+  // Boolean product over heavy X x heavy Y x heavy Z, then probe T.
+  BitMatrix a(xi.size(), yi.size()), b(yi.size(), zi.size());
   for (size_t row = 0; row < m1.size(); ++row) {
-    a.At(xi.Find(m1.Get(row, kX)), yi.Find(m1.Get(row, kY))) = 1;
+    a.Set(xi.FindValue(m1.Get(row, x)), yi.FindValue(m1.Get(row, y)));
   }
   for (size_t row = 0; row < m2.size(); ++row) {
-    b.At(yi.Find(m2.Get(row, kY)), zi.Find(m2.Get(row, kZ))) = 1;
+    b.Set(yi.FindValue(m2.Get(row, y)), zi.FindValue(m2.Get(row, z)));
   }
-  Matrix m = CountingProduct(a, b, kernel, &ec);
+  const BitMatrix m = BooleanProduct(a, b, kernel, &ec);
   for (size_t row = 0; row < t.size(); ++row) {
-    const int x = xi.Find(t.Get(row, kX));
-    const int z = zi.Find(t.Get(row, kZ));
-    if (x >= 0 && z >= 0 && m.At(x, z) != 0) return true;
+    const int ix = xi.FindValue(t.Get(row, x));
+    const int iz = zi.FindValue(t.Get(row, z));
+    if (ix >= 0 && iz >= 0 && m.Get(ix, iz)) return true;
   }
   return false;
 }
@@ -147,19 +121,21 @@ int64_t TriangleCountMm(const QueryInput& db, MmKernel kernel,
                       &ec);
   Relation zs = Union(Project(s, VarSet{kZ}, &ec), Project(t, VarSet{kZ}, &ec),
                       &ec);
-  ValueIndex xi(xs, &ec), yi(ys, &ec), zi(zs, &ec);
+  const FlatInterner xi(xs, KeySpec(xs, xs.schema()), &ec);
+  const FlatInterner yi(ys, KeySpec(ys, ys.schema()), &ec);
+  const FlatInterner zi(zs, KeySpec(zs, zs.schema()), &ec);
   Matrix a(xi.size(), yi.size()), b(yi.size(), zi.size());
   for (size_t row = 0; row < r.size(); ++row) {
-    a.At(xi.Find(r.Get(row, kX)), yi.Find(r.Get(row, kY))) = 1;
+    a.At(xi.FindValue(r.Get(row, kX)), yi.FindValue(r.Get(row, kY))) = 1;
   }
   for (size_t row = 0; row < s.size(); ++row) {
-    b.At(yi.Find(s.Get(row, kY)), zi.Find(s.Get(row, kZ))) = 1;
+    b.At(yi.FindValue(s.Get(row, kY)), zi.FindValue(s.Get(row, kZ))) = 1;
   }
   Bump(ec.stats().mm_products);
   Matrix m = CountingProduct(a, b, kernel, &ec);
   int64_t count = 0;
   for (size_t row = 0; row < t.size(); ++row) {
-    count += m.At(xi.Find(t.Get(row, kX)), zi.Find(t.Get(row, kZ)));
+    count += m.At(xi.FindValue(t.Get(row, kX)), zi.FindValue(t.Get(row, kZ)));
   }
   return count;
 }

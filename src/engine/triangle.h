@@ -41,6 +41,20 @@ bool TriangleMm(const QueryInput& db, double omega,
                 MmKernel kernel = MmKernel::kBoolean,
                 TriangleStats* stats = nullptr, ExecContext* ctx = nullptr);
 
+/// The Figure-1 all-heavy core, shared by TriangleMm and the PANDA
+/// executor's terminal MM group: is there a triangle R(x,y), S(y,z),
+/// T(x,z) whose corners lie in the unary heavy sets hx, hy, hz? R and S
+/// are semijoined to the heavy sets (false right there if either comes
+/// out empty, before any interning); the heavy sets index the matrix
+/// dimensions (reported in stats->mm_dim_*); one BooleanProduct under
+/// `kernel` (counted in mm_products) is probed with T. `x`, `y`, `z` are
+/// the corner variable ids.
+bool HeavyTriangleCore(const Relation& r, const Relation& s,
+                       const Relation& t, int x, int y, int z,
+                       const Relation& hx, const Relation& hy,
+                       const Relation& hz, MmKernel kernel,
+                       TriangleStats* stats, ExecContext& ec);
+
 /// Triangle counting via integer matrix multiplication (trace of A^3 on
 /// the heavy part is not enough for counts; this counts all triangles by
 /// summing the entrywise product of (M1 x M2) with T). Used by tests to

@@ -457,16 +457,39 @@ Matrix CountingProduct(const Matrix& a, const Matrix& b, MmKernel kernel,
       return MultiplyRectangular(a, b, kMmDefaultCutoff, ctx);
     case MmKernel::kBitSliced:
     case MmKernel::kBoolean:
-      // Engines with a real (OR, AND) path dispatch to BitMatrix::Multiply
-      // themselves; a Boolean request reaching a counting-only path means
-      // the caller only tests entries for zero, so the bit-sliced product
-      // (identical (+, x) results, word-parallel cost) is the right fit.
+      // kBoolean has no counting form of its own; on 0/1 inputs the
+      // bit-sliced product is the word-parallel exact count.
       if (IsZeroOne(a) && IsZeroOne(b)) return MultiplyBitSliced(a, b, ctx);
       return MultiplyBlocked(a, b, ctx);
     case MmKernel::kNaive:
       break;
   }
   return MultiplyBlocked(a, b, ctx);
+}
+
+namespace {
+
+Matrix Expand(const BitMatrix& m) {
+  Matrix out(m.rows(), m.cols());
+  for (int i = 0; i < m.rows(); ++i) {
+    for (int j = 0; j < m.cols(); ++j) out.At(i, j) = m.Get(i, j);
+  }
+  return out;
+}
+
+}  // namespace
+
+BitMatrix BooleanProduct(const BitMatrix& a, const BitMatrix& b,
+                         MmKernel kernel, ExecContext* ctx) {
+  if (kernel == MmKernel::kBoolean) return BitMatrix::Multiply(a, b, ctx);
+  const Matrix counts = CountingProduct(Expand(a), Expand(b), kernel, ctx);
+  BitMatrix out(counts.rows(), counts.cols());
+  for (int i = 0; i < counts.rows(); ++i) {
+    for (int j = 0; j < counts.cols(); ++j) {
+      if (counts.At(i, j) != 0) out.Set(i, j);
+    }
+  }
+  return out;
 }
 
 }  // namespace fmmsw

@@ -93,16 +93,15 @@ bool IsZeroOne(const Matrix& m);
 /// Bit-sliced counting product for 0/1 matrices: packs rows of a and
 /// columns of b into k-bit planes and accumulates popcount(word AND word),
 /// so each 64-wide slice of the inner dimension costs one AND + popcount
-/// instead of 64 int64 multiply-adds. Requires 0/1 inputs (DCHECKed; the
-/// engines know their indicator matrices, other callers go through
-/// CountingProduct which verifies first). Row blocks run on the context's
-/// pool. Exact: out == MultiplyNaive(a, b).
+/// instead of 64 int64 multiply-adds. Requires 0/1 inputs (DCHECKed;
+/// CountingProduct verifies them before dispatching here). Row blocks run
+/// on the context's pool. Exact: out == MultiplyNaive(a, b).
 Matrix MultiplyBitSliced(const Matrix& a, const Matrix& b,
                          ExecContext* ctx = nullptr);
 
-/// Counting-product kernel choice for the engine hybrid paths (the
-/// Boolean (OR, AND) option is BitMatrix::Multiply, dispatched by the
-/// engines themselves).
+/// Product kernel choice for the engines' heavy-part products. Every
+/// decision product goes through BooleanProduct, which maps the choice
+/// to a kernel; only exact counts (TriangleCountMm) call CountingProduct.
 enum class MmKernel {
   kBoolean,    ///< bit-packed (OR, AND) product
   kStrassen,   ///< counting product via Strassen (omega = log2 7)
@@ -111,11 +110,19 @@ enum class MmKernel {
 };
 
 /// The counting product under `kernel`: kStrassen -> MultiplyRectangular,
-/// kNaive -> MultiplyBlocked, kBitSliced -> MultiplyBitSliced when both
-/// inputs verify as 0/1 (MultiplyBlocked otherwise). All choices return
-/// results bit-identical to MultiplyNaive(a, b); kBoolean is invalid here.
+/// kNaive -> MultiplyBlocked, kBitSliced and kBoolean -> MultiplyBitSliced
+/// when both inputs verify as 0/1 (MultiplyBlocked otherwise). All
+/// choices return results bit-identical to MultiplyNaive(a, b).
 Matrix CountingProduct(const Matrix& a, const Matrix& b, MmKernel kernel,
                        ExecContext* ctx = nullptr);
+
+/// The Boolean product MM(X; Y; Z) (Definition 4.5) under `kernel`: the
+/// one place a decision product meets a kernel. kBoolean ->
+/// BitMatrix::Multiply; every counting kernel runs CountingProduct on the
+/// 0/1 expansion of a and b and keeps the non-zero cells. All choices
+/// return the same matrix.
+BitMatrix BooleanProduct(const BitMatrix& a, const BitMatrix& b,
+                         MmKernel kernel, ExecContext* ctx = nullptr);
 
 }  // namespace fmmsw
 

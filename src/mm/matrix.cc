@@ -77,6 +77,9 @@ BitMatrix BitMatrix::Multiply(const BitMatrix& a, const BitMatrix& b,
   BitMatrix out(a.rows(), b.cols());
   const int a_words = a.words_;
   const int b_words = b.words_;
+  // 0 x n, n x 0 and empty-inner products have no set bits to visit
+  // (and no row storage to address).
+  if (a.rows() == 0 || a_words == 0 || b_words == 0) return out;
   MemCharge charge(ec, static_cast<int64_t>(out.data_.size()) * 8);
   ParallelFor(
       ec, FaultSite::kMm, a.rows(),

@@ -3,8 +3,8 @@
 #include <cmath>
 
 #include "core/exec_context.h"
+#include "engine/triangle.h"
 #include "hypergraph/hypergraph.h"
-#include "mm/matrix.h"
 #include "relation/degree.h"
 #include "relation/flat_index.h"
 #include "relation/ops.h"
@@ -178,52 +178,9 @@ bool ExecuteProofSequence(const Hypergraph& h, const QueryInput& db,
     if (hy == nullptr) hy = &all_y;
     if (hz == nullptr) hz = &all_z;
     if (stats != nullptr) ++stats->mm_executed;
-    Relation m1 = SemijoinAll(*rxy, {hx, hy}, &ec);
-    Relation m2 = SemijoinAll(*ryz, {hy, hz}, &ec);
-    if (m1.empty() || m2.empty()) continue;
-    // Matrix-dimension interning on the flat index (was
-    // std::unordered_map<Value, int>).
-    FlatInterner xi, yi, zi;
-    const int vx = t.x.First(), vy = t.y.First(), vz = t.z.First();
-    for (size_t r = 0; r < m1.size(); ++r) {
-      xi.InternValue(m1.Get(r, vx));
-      yi.InternValue(m1.Get(r, vy));
-    }
-    for (size_t r = 0; r < m2.size(); ++r) {
-      yi.InternValue(m2.Get(r, vy));
-      zi.InternValue(m2.Get(r, vz));
-    }
-    Bump(ec.stats().mm_products);
-    if (kernel == MmKernel::kBoolean) {
-      BitMatrix a(xi.size(), yi.size());
-      BitMatrix b(yi.size(), zi.size());
-      for (size_t r = 0; r < m1.size(); ++r) {
-        a.Set(xi.FindValue(m1.Get(r, vx)), yi.FindValue(m1.Get(r, vy)));
-      }
-      for (size_t r = 0; r < m2.size(); ++r) {
-        b.Set(yi.FindValue(m2.Get(r, vy)), zi.FindValue(m2.Get(r, vz)));
-      }
-      BitMatrix m = BitMatrix::Multiply(a, b, &ec);
-      for (size_t r = 0; r < rxz->size(); ++r) {
-        const int ix = xi.FindValue(rxz->Get(r, vx));
-        const int iz = zi.FindValue(rxz->Get(r, vz));
-        if (ix >= 0 && iz >= 0 && m.Get(ix, iz)) return true;
-      }
-    } else {
-      Matrix a(xi.size(), yi.size());
-      Matrix b(yi.size(), zi.size());
-      for (size_t r = 0; r < m1.size(); ++r) {
-        a.At(xi.FindValue(m1.Get(r, vx)), yi.FindValue(m1.Get(r, vy))) = 1;
-      }
-      for (size_t r = 0; r < m2.size(); ++r) {
-        b.At(yi.FindValue(m2.Get(r, vy)), zi.FindValue(m2.Get(r, vz))) = 1;
-      }
-      Matrix m = CountingProduct(a, b, kernel, &ec);
-      for (size_t r = 0; r < rxz->size(); ++r) {
-        const int ix = xi.FindValue(rxz->Get(r, vx));
-        const int iz = zi.FindValue(rxz->Get(r, vz));
-        if (ix >= 0 && iz >= 0 && m.At(ix, iz) != 0) return true;
-      }
+    if (HeavyTriangleCore(*rxy, *ryz, *rxz, t.x.First(), t.y.First(),
+                          t.z.First(), *hx, *hy, *hz, kernel, nullptr, ec)) {
+      return true;
     }
   }
   return false;
@@ -233,9 +190,8 @@ bool PandaTriangleBoolean(const QueryInput& db, double omega, MmKernel kernel,
                           PandaStats* stats, ExecContext* ctx) {
   const double n = static_cast<double>(db.TotalSize());
   if (n == 0) return false;
-  const int64_t threshold = std::max<int64_t>(
-      1, static_cast<int64_t>(std::ceil(
-             std::pow(n, (omega - 1.0) / (omega + 1.0)))));
+  const int64_t threshold =
+      DegreeThreshold(n, (omega - 1.0) / (omega + 1.0));
   // Snap omega to a small rational for the symbolic side.
   const Rational omega_q(static_cast<int64_t>(std::llround(omega * 1000000)),
                          1000000);

@@ -1,6 +1,7 @@
 #include "relation/degree.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "core/exec_context.h"
 #include "relation/ops.h"
@@ -87,6 +88,11 @@ struct GroupedOrder {
 };
 
 }  // namespace
+
+int64_t DegreeThreshold(double n, double exponent) {
+  return std::max<int64_t>(
+      1, static_cast<int64_t>(std::ceil(std::pow(n, exponent))));
+}
 
 int64_t Degree(const Relation& r, VarSet y, VarSet x) {
   if (r.empty()) return 0;

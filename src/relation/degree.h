@@ -26,6 +26,10 @@ class ExecContext;
 /// schema (they are ignored, matching the paper's convention).
 int64_t Degree(const Relation& r, VarSet y, VarSet x);
 
+/// The heavy/light threshold Delta = max(1, ceil(n^exponent)) at total
+/// input size n. Each engine derives its own exponent from omega.
+int64_t DegreeThreshold(double n, double exponent);
+
 struct DegreePartition {
   /// Projection onto X of the X-values with degree > threshold;
   /// |heavy| <= |R| / threshold.

@@ -194,10 +194,15 @@ TEST(EliminationTest, StrassenKernelMatchesBoolean) {
   s2.block = VarSet{0, 2};
   s2.method = StepMethod::kForLoop;
   plan.steps.push_back(s2);
-  EliminationOptions bool_opts, strassen_opts;
-  strassen_opts.kernel = MmKernel::kStrassen;
-  EXPECT_EQ(ExecutePlan(h, db, plan, bool_opts),
-            ExecutePlan(h, db, plan, strassen_opts));
+  EliminationOptions bool_opts;
+  const bool expect = ExecutePlan(h, db, plan, bool_opts);
+  for (MmKernel kernel : {MmKernel::kStrassen, MmKernel::kNaive,
+                          MmKernel::kBitSliced}) {
+    EliminationOptions opts = bool_opts;
+    opts.kernel = kernel;
+    EXPECT_EQ(ExecutePlan(h, db, plan, opts), expect)
+        << "kernel=" << static_cast<int>(kernel);
+  }
 }
 
 // ---------------------------------------------------------- triangle ----
@@ -221,6 +226,7 @@ TEST_P(TriangleRegimeTest, AllAlgorithmsAgree) {
   EXPECT_EQ(TriangleMm(db, 2.371552), expect);
   EXPECT_EQ(TriangleMm(db, 2.8073549, MmKernel::kStrassen), expect);
   EXPECT_EQ(TriangleMm(db, 2.8073549, MmKernel::kBitSliced), expect);
+  EXPECT_EQ(TriangleMm(db, 3.0, MmKernel::kNaive), expect);
   EXPECT_EQ(TriangleMm(db, 3.0), expect);
 }
 
@@ -284,6 +290,8 @@ TEST_P(FourCycleRegimeTest, AllAlgorithmsAgree) {
       << "seed=" << seed;
   EXPECT_EQ(FourCycleMm(db, 2.8073549, MmKernel::kBitSliced), expect)
       << "seed=" << seed;
+  EXPECT_EQ(FourCycleMm(db, 3.0, MmKernel::kNaive), expect)
+      << "seed=" << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -314,6 +322,8 @@ TEST_P(CliqueRegimeTest, MmAgreesWithCombinatorial) {
         << "k=" << k << " seed=" << seed;
     EXPECT_EQ(CliqueMm(k, db, MmKernel::kBitSliced), expect)
         << "k=" << k << " seed=" << seed;
+    EXPECT_EQ(CliqueMm(k, db, MmKernel::kNaive), expect)
+        << "k=" << k << " seed=" << seed;
   }
 }
 
@@ -330,6 +340,31 @@ TEST(CliqueTest, GroupDimensionsReported) {
   EXPECT_GT(stats.group_cliques[0], 0);
   EXPECT_GT(stats.group_cliques[1], 0);
   EXPECT_GT(stats.group_cliques[2], 0);
+}
+
+TEST(CliqueTest, FaultPlanStopsCompatibilityFillBeforeProduct) {
+  // The O(n1 * n2) compatibility fills poll the guard as FaultSite::kMm
+  // work, so a fault at the first kMm poll aborts before the product is
+  // counted. (A fill on the raw pool would run unguarded and the first
+  // kMm poll would sit inside the product, after mm_products moved.)
+  WorkloadOptions opts;
+  opts.kind = WorkloadKind::kDense;
+  opts.domain = 8;
+  opts.seed = 3;
+  QueryInput db = MakeWorkload(Hypergraph::Clique(6), opts);
+  ExecContext ec(2);
+  FaultPlan plan;
+  ASSERT_TRUE(ParseFaultPlan("mm:1", &plan, nullptr));
+  ec.guard().SetFaultPlan(plan);
+  const int64_t products_before = ec.stats().mm_products.load();
+  bool answer = false;
+  const ExecResult r = RunGuarded(ec, {}, [&] {
+    answer = CliqueMm(6, db, MmKernel::kBoolean, nullptr, &ec);
+  });
+  ec.guard().SetFaultPlan(FaultPlan{});
+  EXPECT_FALSE(r.ok());
+  EXPECT_FALSE(answer);
+  EXPECT_EQ(ec.stats().mm_products.load(), products_before);
 }
 
 // ------------------------------------------------------------ pyramid ----
@@ -351,6 +386,12 @@ TEST_P(PyramidRegimeTest, MmAgreesWithCombinatorial) {
   EXPECT_EQ(Pyramid3Mm(db, 2.0), expect) << "seed=" << seed;
   EXPECT_EQ(Pyramid3Mm(db, 2.371552), expect) << "seed=" << seed;
   EXPECT_EQ(Pyramid3Mm(db, 3.0), expect) << "seed=" << seed;
+  EXPECT_EQ(Pyramid3Mm(db, 2.8073549, MmKernel::kStrassen), expect)
+      << "seed=" << seed;
+  EXPECT_EQ(Pyramid3Mm(db, 2.371552, MmKernel::kNaive), expect)
+      << "seed=" << seed;
+  EXPECT_EQ(Pyramid3Mm(db, 2.371552, MmKernel::kBitSliced), expect)
+      << "seed=" << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -122,6 +122,45 @@ TEST(BitMatrixTest, MultiplyMatchesIntegerSign) {
   }
 }
 
+TEST(BitMatrixTest, BooleanProductMatchesMultiplyForEveryKernel) {
+  // Degenerate shapes (0 x n, n x 0, empty inner dimension), widths on
+  // both sides of the 64-bit word boundary, and a larger product.
+  const struct {
+    int m, k, n;
+  } shapes[] = {{0, 5, 3},  {3, 0, 4},  {4, 6, 0},   {0, 0, 0},
+                {1, 1, 1},  {7, 63, 65}, {65, 64, 1}, {33, 130, 127},
+                {96, 200, 96}};
+  Rng rng(16);
+  ExecContext ec(2);
+  for (const auto& s : shapes) {
+    BitMatrix a(s.m, s.k), b(s.k, s.n);
+    for (int i = 0; i < s.m; ++i) {
+      for (int j = 0; j < s.k; ++j) {
+        if (rng.Flip(0.1)) a.Set(i, j);
+      }
+    }
+    for (int i = 0; i < s.k; ++i) {
+      for (int j = 0; j < s.n; ++j) {
+        if (rng.Flip(0.1)) b.Set(i, j);
+      }
+    }
+    const BitMatrix ref = BitMatrix::Multiply(a, b, &ec);
+    for (MmKernel kernel : {MmKernel::kBoolean, MmKernel::kStrassen,
+                            MmKernel::kNaive, MmKernel::kBitSliced}) {
+      const BitMatrix got = BooleanProduct(a, b, kernel, &ec);
+      ASSERT_EQ(got.rows(), s.m);
+      ASSERT_EQ(got.cols(), s.n);
+      for (int i = 0; i < s.m; ++i) {
+        for (int j = 0; j < s.n; ++j) {
+          ASSERT_EQ(got.Get(i, j), ref.Get(i, j))
+              << s.m << "x" << s.k << "x" << s.n << " kernel "
+              << static_cast<int>(kernel) << " at " << i << "," << j;
+        }
+      }
+    }
+  }
+}
+
 TEST(BitMatrixTest, AnyNonZero) {
   BitMatrix m(5, 70);
   EXPECT_FALSE(m.AnyNonZero());

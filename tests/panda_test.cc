@@ -174,8 +174,12 @@ TEST(ExecutorTest, FlatInternedDimensionsHandleExtremeValues) {
       EXPECT_EQ(PandaTriangleBoolean(db, omega, MmKernel::kBoolean, &stats),
                 expect)
           << "plant=" << plant << " omega=" << omega;
-      EXPECT_EQ(PandaTriangleBoolean(db, omega, MmKernel::kNaive), expect)
-          << "plant=" << plant << " omega=" << omega;
+      for (MmKernel kernel : {MmKernel::kStrassen, MmKernel::kNaive,
+                              MmKernel::kBitSliced}) {
+        EXPECT_EQ(PandaTriangleBoolean(db, omega, kernel), expect)
+            << "plant=" << plant << " omega=" << omega
+            << " kernel=" << static_cast<int>(kernel);
+      }
     }
   }
 }
