@@ -74,6 +74,7 @@ ExecResult ValidateQuery(const Hypergraph& h, const QueryInput& db) {
                    " relations for " + std::to_string(h.edges().size()) +
                    " hyperedges");
   }
+  VarSet covered;
   for (size_t i = 0; i < h.edges().size(); ++i) {
     const VarSet edge = h.edges()[i];
     if (!h.vertices().ContainsAll(edge)) {
@@ -84,6 +85,12 @@ ExecResult ValidateQuery(const Hypergraph& h, const QueryInput& db) {
       return invalid("relation " + std::to_string(i) +
                      " schema does not match its hyperedge's variable set");
     }
+    covered = covered | edge;
+  }
+  const VarSet uncovered = h.vertices() - covered;
+  if (!uncovered.empty()) {
+    return invalid("variable " + h.names()[uncovered.First()] +
+                   " is covered by no hyperedge");
   }
   return {};
 }

@@ -59,7 +59,8 @@ std::string FormatWidthReport(const Hypergraph& h, const Rational& omega,
 
 /// Structural validation of a (query, database) pair: one relation per
 /// hyperedge, each relation's schema equal to its edge's variable set,
-/// and every edge variable inside the hypergraph's vertex range. Returns
+/// every edge variable inside the hypergraph's vertex range, and every
+/// vertex covered by some hyperedge. Returns
 /// kOk or kInvalidArgument with a message naming the first mismatch.
 /// The *WithRecovery entry points below run this before touching the
 /// engines; call it directly to validate inputs without evaluating.

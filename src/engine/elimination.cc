@@ -1,95 +1,81 @@
 #include "engine/elimination.h"
 
-#include <algorithm>
-#include <cmath>
 #include <map>
-#include <unordered_map>
+#include <memory>
+#include <string>
+#include <utility>
 
 #include "core/exec_context.h"
 #include "engine/wcoj.h"
-#include "mm/cost_model.h"
 #include "mm/matrix.h"
 #include "relation/ops.h"
-#include "util/check.h"
 
 namespace fmmsw {
 
-namespace {
-
-/// Execution state: the current hypergraph plus one relation per edge.
-struct State {
-  Hypergraph hg;
-  std::vector<Relation> rels;  // aligned with hg.edges()
-  bool definitely_empty = false;
-};
-
-/// Joins the incident relations with WCOJ and projects the block away
-/// (the "for-loops" elimination).
-void EliminateForLoop(State* s, VarSet block, EliminationStats* stats,
-                      ExecContext* ec) {
-  const std::vector<int> incident = s->hg.IncidentEdges(block);
-  FMMSW_CHECK(!incident.empty());
-  Hypergraph sub(s->hg.num_vars(), s->hg.names());
-  sub = sub.Eliminate(VarSet::Full(s->hg.num_vars()) - s->hg.U(block));
-  QueryInput sub_db;
-  // contracts: allow(no-node-map) schema-keyed merge pool, O(#edges)
-  // entries per elimination step.
-  std::map<VarSet, Relation> merged;
-  for (int e : incident) {
-    auto it = merged.find(s->hg.edges()[e]);
-    if (it == merged.end()) {
-      merged.emplace(s->hg.edges()[e], s->rels[e]);
-    } else {
-      it->second = Intersect(it->second, s->rels[e], ec);
+void AddAtom(Hypergraph* hg, QueryInput* in, VarSet schema, RelationPtr rel,
+             ExecContext* ctx) {
+  const std::vector<VarSet>& edges = hg->edges();
+  for (size_t i = 0; i < edges.size(); ++i) {
+    if (edges[i] == schema) {
+      in->relations.Set(i, Intersect(in->relations[i], *rel, ctx));
+      return;
     }
   }
-  for (auto& [schema, rel] : merged) {
-    sub.AddEdge(schema);
-    sub_db.relations.push_back(std::move(rel));
+  hg->AddEdge(schema);
+  in->relations.push_back(std::move(rel));
+}
+
+namespace {
+
+[[noreturn]] void Invalid(const std::string& message) {
+  throw QueryAbort(ExecStatus::kInvalidArgument,
+                   "ExecutePlan: " + message);
+}
+
+/// Execution state: the current hypergraph plus one relation per edge,
+/// shared by pointer with the caller's input until a step replaces it.
+struct State {
+  Hypergraph hg;
+  QueryInput in;
+};
+
+/// A hypergraph over `vertices` (indices and names of `h`) with no edges.
+Hypergraph Edgeless(const Hypergraph& h, VarSet vertices) {
+  return Hypergraph(h.num_vars(), h.names())
+      .Eliminate(VarSet::Full(h.num_vars()) - vertices);
+}
+
+/// WCOJ over the sub-query of the state's edges `edges`, projected onto
+/// `out`.
+Relation JoinEdges(const State& s, const std::vector<int>& edges, VarSet out,
+                   ExecContext* ec) {
+  VarSet vars;
+  for (int e : edges) vars = vars | s.hg.edges()[e];
+  Hypergraph sub = Edgeless(s.hg, vars);
+  QueryInput sub_in;
+  for (int e : edges) {
+    AddAtom(&sub, &sub_in, s.hg.edges()[e], s.in.relations.ptr(e), ec);
   }
-  Relation result = WcojJoin(sub, sub_db, s->hg.N(block), nullptr, ec);
+  return WcojJoin(sub, sub_in, out, nullptr, ec);
+}
+
+std::vector<int> IncidentEdges(const State& s, VarSet block) {
+  std::vector<int> incident = s.hg.IncidentEdges(block);
+  if (incident.empty()) Invalid("block has no incident edge");
+  return incident;
+}
+
+/// Joins the incident relations with WCOJ and projects the block away
+/// (the "for-loops" elimination). Returns the relation over N(block).
+Relation EliminateForLoop(const State& s, VarSet block,
+                          EliminationStats* stats, ExecContext* ec) {
+  Relation result =
+      JoinEdges(s, IncidentEdges(s, block), s.hg.N(block), ec);
   if (stats != nullptr) {
     ++stats->forloop_steps;
     stats->intermediate_tuples += static_cast<int64_t>(result.size());
   }
-  // Rebuild the state: next.hg's edges are the old non-incident edges
-  // (deduped) plus N(block); relations are matched to edges by schema.
-  State next;
-  next.hg = s->hg.Eliminate(block);
-  // contracts: allow(no-node-map) schema-keyed relation pool, O(#edges)
-  // entries per elimination step.
-  std::map<VarSet, Relation> pool;
-  for (size_t e = 0; e < s->hg.edges().size(); ++e) {
-    if (std::find(incident.begin(), incident.end(), static_cast<int>(e)) !=
-        incident.end()) {
-      continue;
-    }
-    auto it = pool.find(s->hg.edges()[e]);
-    if (it == pool.end()) {
-      pool.emplace(s->hg.edges()[e], s->rels[e]);
-    } else {
-      it->second = Intersect(it->second, s->rels[e], ec);
-    }
-  }
-  const VarSet n = s->hg.N(block);
-  if (!n.empty()) {
-    auto it = pool.find(n);
-    if (it == pool.end()) {
-      pool.emplace(n, result);
-    } else {
-      it->second = Intersect(it->second, result, ec);
-    }
-  } else if (result.empty()) {
-    next.definitely_empty = true;
-  }
-  next.rels.clear();
-  for (const VarSet& e : next.hg.edges()) {
-    auto it = pool.find(e);
-    FMMSW_CHECK(it != pool.end());
-    next.rels.push_back(it->second);
-  }
-  if (result.empty()) next.definitely_empty = true;
-  *s = std::move(next);
+  return result;
 }
 
 /// Dense index assignment for composite keys.
@@ -133,66 +119,47 @@ std::vector<int> ColsFor(const Relation& r, VarSet vars) {
 
 /// Eliminates `block` via the MM option `mm` (Appendix E.6): the incident
 /// relations are covered by an A side (schema inside x|g|z) and a B side
-/// (schema inside y|g|z); M1 = join of the A side, M2 = join of the B side;
-/// for every G-value, multiply the |x|-by-|z| and |z|-by-|y| Boolean (or
-/// counting) matrices and keep the non-zero output cells as the new
-/// relation over x|y|g = N(block).
-void EliminateMm(State* s, VarSet block, const MmExpr& mm,
-                 const EliminationOptions& opts, EliminationStats* stats,
-                 ExecContext* ec) {
-  FMMSW_CHECK(mm.z == block);
+/// (schema inside y|g|z); M1 = join of the A side over VA, M2 = join of
+/// the B side over VB; for every value of g' = VA cap VB \ z, multiply the
+/// x'-by-z and z-by-y' Boolean matrices (x' = VA \ VB, y' = VB \ VA) and
+/// keep the non-zero output cells as the new relation over
+/// x|y|g = N(block).
+Relation EliminateMm(const State& s, VarSet block, const MmExpr& mm,
+                     MmKernel kernel, EliminationStats* stats,
+                     ExecContext* ec) {
   const VarSet a_side = mm.x | mm.g | block;
   const VarSet b_side = mm.y | mm.g | block;
-  const std::vector<int> incident = s->hg.IncidentEdges(block);
-  FMMSW_CHECK(!incident.empty());
-  QueryInput a_db, b_db;
-  Hypergraph a_hg(s->hg.num_vars(), s->hg.names());
-  a_hg = a_hg.Eliminate(VarSet::Full(s->hg.num_vars()) - a_side);
-  Hypergraph b_hg(s->hg.num_vars(), s->hg.names());
-  b_hg = b_hg.Eliminate(VarSet::Full(s->hg.num_vars()) - b_side);
-  for (int e : incident) {
-    const VarSet schema = s->hg.edges()[e];
-    bool placed = false;
-    if (a_side.ContainsAll(schema)) {
-      if (std::find(a_hg.edges().begin(), a_hg.edges().end(), schema) ==
-          a_hg.edges().end()) {
-        a_hg.AddEdge(schema);
-        a_db.relations.push_back(s->rels[e]);
-      } else {
-        for (size_t i = 0; i < a_hg.edges().size(); ++i) {
-          if (a_hg.edges()[i] == schema) {
-            a_db.relations.Set(i, Intersect(a_db.relations[i], s->rels[e], ec));
-          }
-        }
-      }
-      placed = true;
+  std::vector<int> a_edges, b_edges;
+  VarSet va, vb;
+  for (int e : IncidentEdges(s, block)) {
+    const VarSet schema = s.hg.edges()[e];
+    const bool on_a = a_side.ContainsAll(schema);
+    const bool on_b = b_side.ContainsAll(schema);
+    if (!on_a && !on_b) {
+      Invalid("MM option covers incident edge " + schema.ToString() +
+              " on neither side");
     }
-    if (b_side.ContainsAll(schema)) {
-      if (std::find(b_hg.edges().begin(), b_hg.edges().end(), schema) ==
-          b_hg.edges().end()) {
-        b_hg.AddEdge(schema);
-        b_db.relations.push_back(s->rels[e]);
-      } else {
-        for (size_t i = 0; i < b_hg.edges().size(); ++i) {
-          if (b_hg.edges()[i] == schema) {
-            b_db.relations.Set(i, Intersect(b_db.relations[i], s->rels[e], ec));
-          }
-        }
-      }
-      placed = true;
+    if (on_a) {
+      a_edges.push_back(e);
+      va = va | schema;
     }
-    FMMSW_CHECK(placed &&
-                "MM option does not cover an incident relation; invalid "
-                "MmExpr for this step");
+    if (on_b) {
+      b_edges.push_back(e);
+      vb = vb | schema;
+    }
   }
-  // M1(x, z, g) and M2(y, z, g).
-  Relation m1 = WcojJoin(a_hg, a_db, a_side, nullptr, ec);
-  Relation m2 = WcojJoin(b_hg, b_db, b_side, nullptr, ec);
+  if (!va.ContainsAll(block) || !vb.ContainsAll(block)) {
+    Invalid("an MM side does not cover the block");
+  }
+  // x' = x + (g cap VA \ VB), y' = y + (g cap VB \ VA), g' = g cap VA cap VB.
+  const VarSet x = va - vb, y = vb - va, g = (va & vb) - block;
+  const Relation m1 = JoinEdges(s, a_edges, va, ec);
+  const Relation m2 = JoinEdges(s, b_edges, vb, ec);
 
   // Group rows by G-key; within each group build matrices over x/z and z/y.
-  const std::vector<int> m1_g = ColsFor(m1, mm.g), m1_x = ColsFor(m1, mm.x),
+  const std::vector<int> m1_g = ColsFor(m1, g), m1_x = ColsFor(m1, x),
                          m1_z = ColsFor(m1, block);
-  const std::vector<int> m2_g = ColsFor(m2, mm.g), m2_y = ColsFor(m2, mm.y),
+  const std::vector<int> m2_g = ColsFor(m2, g), m2_y = ColsFor(m2, y),
                          m2_z = ColsFor(m2, block);
   // contracts: allow(no-node-map) reference MM-step evaluator; keys are
   // variable-length Value tuples with no packed-key form yet (ROADMAP).
@@ -206,9 +173,19 @@ void EliminateMm(State* s, VarSet block, const MmExpr& mm,
     groups[ExtractKey(m2, r, m2_g)].second.push_back(r);
   }
 
-  const VarSet out_schema = mm.x | mm.y | mm.g;
-  Relation result(out_schema);
-  const std::vector<int> out_vars = result.vars();
+  Relation result(x | y | g);
+  // Output column i takes key position source[i].second of the x (0),
+  // y (1) or g (2) key.
+  const VarSet parts[3] = {x, y, g};
+  std::vector<std::pair<int, int>> source;
+  for (int v : result.vars()) {
+    for (int p = 0; p < 3; ++p) {
+      if (parts[p].Contains(v)) {
+        source.emplace_back(p, (parts[p] & VarSet::Full(v)).size());
+      }
+    }
+  }
+  std::vector<Value> tuple(source.size());
   for (const auto& [gkey, rows] : groups) {
     if (rows.first.empty() || rows.second.empty()) continue;
     KeyIndex xs, ys, zs;
@@ -224,27 +201,6 @@ void EliminateMm(State* s, VarSet block, const MmExpr& mm,
       stats->mm_cells += static_cast<int64_t>(xs.size()) * zs.size() +
                          static_cast<int64_t>(zs.size()) * ys.size();
     }
-    auto emit = [&](int xi, int yi, const std::vector<std::vector<Value>>&
-                                        xkeys,
-                    const std::vector<std::vector<Value>>& ykeys) {
-      std::vector<Value> tuple(out_vars.size());
-      const std::vector<int> xv = mm.x.Members(), yv = mm.y.Members(),
-                             gv = mm.g.Members();
-      for (size_t i = 0; i < out_vars.size(); ++i) {
-        const int v = out_vars[i];
-        for (size_t j = 0; j < xv.size(); ++j) {
-          if (xv[j] == v) tuple[i] = xkeys[xi][j];
-        }
-        for (size_t j = 0; j < yv.size(); ++j) {
-          if (yv[j] == v) tuple[i] = ykeys[yi][j];
-        }
-        for (size_t j = 0; j < gv.size(); ++j) {
-          if (gv[j] == v) tuple[i] = gkey[j];
-        }
-      }
-      result.Add(tuple);
-    };
-    const auto xkeys = xs.Reverse(), ykeys = ys.Reverse();
     Bump(ExecContext::Resolve(ec).stats().mm_products);
     BitMatrix ma(xs.size(), zs.size()), mb(zs.size(), ys.size());
     for (size_t r : rows.first) {
@@ -255,10 +211,16 @@ void EliminateMm(State* s, VarSet block, const MmExpr& mm,
       mb.Set(zs.Find(ExtractKey(m2, r, m2_z)),
              ys.Find(ExtractKey(m2, r, m2_y)));
     }
-    const BitMatrix mc = BooleanProduct(ma, mb, opts.kernel, ec);
+    const BitMatrix mc = BooleanProduct(ma, mb, kernel, ec);
+    const auto xkeys = xs.Reverse(), ykeys = ys.Reverse();
     for (int i = 0; i < mc.rows(); ++i) {
       for (int j = 0; j < mc.cols(); ++j) {
-        if (mc.Get(i, j)) emit(i, j, xkeys, ykeys);
+        if (!mc.Get(i, j)) continue;
+        const std::vector<Value>* keys[3] = {&xkeys[i], &ykeys[j], &gkey};
+        for (size_t c = 0; c < source.size(); ++c) {
+          tuple[c] = (*keys[source[c].first])[source[c].second];
+        }
+        result.Add(tuple);
       }
     }
   }
@@ -267,58 +229,49 @@ void EliminateMm(State* s, VarSet block, const MmExpr& mm,
     ++stats->mm_steps;
     stats->intermediate_tuples += static_cast<int64_t>(result.size());
   }
+  return result;
+}
 
-  // Rebuild state exactly as the for-loop path does.
-  State next;
-  next.hg = s->hg.Eliminate(block);
-  // contracts: allow(no-node-map) schema-keyed relation pool, O(#edges)
-  // entries per elimination step.
-  std::map<VarSet, Relation> pool;
+/// Replaces the state by the one after eliminating `block`, whose
+/// incident relations were folded into `result` over N(block): the
+/// non-incident edges, then N(block), added to an edge-less hypergraph
+/// over V \ block — edge for edge what `hg.Eliminate(block)` builds.
+/// Returns false if `result` is empty (the query is false).
+bool Advance(State* s, VarSet block, Relation result, ExecContext* ec) {
+  if (result.empty()) return false;
+  State next{Edgeless(s->hg, s->hg.vertices() - block), {}};
   for (size_t e = 0; e < s->hg.edges().size(); ++e) {
-    if (s->hg.edges()[e].Intersects(block)) continue;
-    auto it = pool.find(s->hg.edges()[e]);
-    if (it == pool.end()) {
-      pool.emplace(s->hg.edges()[e], s->rels[e]);
-    } else {
-      it->second = Intersect(it->second, s->rels[e], ec);
-    }
+    const VarSet schema = s->hg.edges()[e];
+    if (schema.Intersects(block)) continue;
+    AddAtom(&next.hg, &next.in, schema, s->in.relations.ptr(e), ec);
   }
   const VarSet n = s->hg.N(block);
   if (!n.empty()) {
-    auto it = pool.find(n);
-    if (it == pool.end()) {
-      pool.emplace(n, result);
-    } else {
-      it->second = Intersect(it->second, result, ec);
-    }
+    AddAtom(&next.hg, &next.in, n,
+            std::make_shared<const Relation>(std::move(result)), ec);
   }
-  next.rels.clear();
-  for (const VarSet& e : next.hg.edges()) {
-    auto it = pool.find(e);
-    FMMSW_CHECK(it != pool.end());
-    next.rels.push_back(it->second);
-  }
-  if (result.empty()) next.definitely_empty = true;
   *s = std::move(next);
+  return true;
 }
 
-/// kAuto: crude operation-count comparison between the for-loop join and
-/// the best MM option, using distinct-value counts as dimensions.
-StepMethod ChooseMethod(const State& s, VarSet block, const MmExpr& mm,
-                        const EliminationOptions& opts) {
-  if (mm.x.empty() || mm.y.empty()) return StepMethod::kForLoop;
-  int64_t total = 0;
-  for (int e : s.hg.IncidentEdges(block)) {
-    total += static_cast<int64_t>(s.rels[e].size());
+/// Rejects a plan whose blocks do not partition the vertex set, or whose
+/// MM step eliminates something other than its block.
+void ValidatePlan(const Hypergraph& h, const EliminationPlan& plan) {
+  VarSet eliminated;
+  for (const PlanStep& step : plan.steps) {
+    if (step.block.empty()) Invalid("empty block");
+    if (!(h.vertices() - eliminated).ContainsAll(step.block)) {
+      Invalid("block " + step.block.ToString() +
+              " is not inside the remaining vertex set");
+    }
+    if (step.method == StepMethod::kMm && step.mm.z != step.block) {
+      Invalid("MM step's z differs from its block");
+    }
+    eliminated = eliminated | step.block;
   }
-  // For-loop cost ~ product of two largest incident sizes (pessimistic),
-  // MM cost ~ square-blocked product of the distinct-count dimensions.
-  double forloop = static_cast<double>(total) * total;
-  double dim = std::max<double>(1.0, std::sqrt(static_cast<double>(total)));
-  double mm_cost = PredictedMmOps(static_cast<int64_t>(dim),
-                                  static_cast<int64_t>(dim),
-                                  static_cast<int64_t>(dim), opts.omega);
-  return mm_cost < forloop ? StepMethod::kMm : StepMethod::kForLoop;
+  if (eliminated != h.vertices()) {
+    Invalid("plan does not eliminate every vertex");
+  }
 }
 
 }  // namespace
@@ -328,10 +281,7 @@ EliminationPlan ForLoopPlan(const Hypergraph& h,
   EliminationPlan plan;
   std::vector<int> ord = order ? *order : h.vertices().Members();
   for (int v : ord) {
-    PlanStep step;
-    step.block = VarSet::Singleton(v);
-    step.method = StepMethod::kForLoop;
-    plan.steps.push_back(step);
+    plan.steps.push_back({VarSet::Singleton(v), StepMethod::kForLoop, {}});
   }
   return plan;
 }
@@ -340,33 +290,27 @@ bool ExecutePlan(const Hypergraph& h, const QueryInput& db,
                  const EliminationPlan& plan, const EliminationOptions& opts,
                  EliminationStats* stats, ExecContext* ctx) {
   ExecContext& ec = ExecContext::Resolve(ctx);
-  FMMSW_CHECK(db.relations.size() == h.edges().size());
-  State s;
-  s.hg = h;
-  s.rels = db.relations.Materialize();
-  VarSet eliminated;
+  if (db.relations.size() != h.edges().size()) {
+    Invalid(std::to_string(db.relations.size()) + " relations for " +
+            std::to_string(h.edges().size()) + " hyperedges");
+  }
+  for (size_t e = 0; e < h.edges().size(); ++e) {
+    if (db.relations[e].schema() != h.edges()[e]) {
+      Invalid("relation " + std::to_string(e) + " does not match its edge");
+    }
+  }
+  ValidatePlan(h, plan);
+  State s{h, db};
   for (const PlanStep& step : plan.steps) {
     ec.guard().Poll(FaultSite::kOps);  // elimination steps are the plan's morsels
-    FMMSW_CHECK(s.hg.vertices().ContainsAll(step.block));
-    if (s.definitely_empty) return false;
-    for (const Relation& r : s.rels) {
+    for (const Relation& r : s.in.relations) {
       if (r.empty()) return false;
     }
-    StepMethod method = step.method;
-    if (method == StepMethod::kAuto) {
-      method = ChooseMethod(s, step.block, step.mm, opts);
-    }
-    if (method == StepMethod::kMm) {
-      EliminateMm(&s, step.block, step.mm, opts, stats, &ec);
-    } else {
-      EliminateForLoop(&s, step.block, stats, &ec);
-    }
-    eliminated = eliminated | step.block;
-  }
-  FMMSW_CHECK(eliminated == h.vertices() && "plan must eliminate all vars");
-  if (s.definitely_empty) return false;
-  for (const Relation& r : s.rels) {
-    if (r.empty()) return false;
+    Relation result =
+        step.method == StepMethod::kMm
+            ? EliminateMm(s, step.block, step.mm, opts.kernel, stats, &ec)
+            : EliminateForLoop(s, step.block, stats, &ec);
+    if (!Advance(&s, step.block, std::move(result), &ec)) return false;
   }
   return true;
 }

@@ -10,7 +10,6 @@
 /// as in Appendix E.6: group by G, multiply Boolean matrices indexed by the
 /// block values, keep non-zero entries).
 
-#include <string>
 #include <vector>
 
 #include "hypergraph/hypergraph.h"
@@ -25,12 +24,11 @@ class ExecContext;
 enum class StepMethod {
   kForLoop,  ///< join incident relations, project the block away
   kMm,       ///< matrix multiplication per the step's MmExpr
-  kAuto,     ///< pick by the operation-count cost model at run time
 };
 
 struct PlanStep {
   VarSet block;
-  StepMethod method = StepMethod::kAuto;
+  StepMethod method = StepMethod::kForLoop;
   /// For kMm: the option to execute; mm.z must equal `block`.
   MmExpr mm;
 };
@@ -41,8 +39,6 @@ struct EliminationPlan {
 
 struct EliminationOptions {
   MmKernel kernel = MmKernel::kBoolean;
-  /// omega used by the kAuto cost model.
-  double omega = 2.8073549;  // log2 7
 };
 
 struct EliminationStats {
@@ -52,14 +48,38 @@ struct EliminationStats {
   int64_t intermediate_tuples = 0;
 };
 
+/// Adds the atom `rel` over `schema` to a sub-query under construction:
+/// a new hyperedge if `hg` has none with that schema, else `rel` is
+/// intersected into the relation already bound to it. Keeps `hg`'s edges
+/// and `in`'s relations aligned (edges stay duplicate-free). Relations are
+/// shared by pointer; only a merge builds a new one. Every sub-query of
+/// the generic plan path (for-loop joins, both MM sides, TD bags and the
+/// state after each elimination step) is built this way.
+void AddAtom(Hypergraph* hg, QueryInput* in, VarSet schema, RelationPtr rel,
+             ExecContext* ctx);
+
 /// Builds the all-singleton for-loop plan (equivalent to plain variable
 /// elimination, i.e. a TD plan).
 EliminationPlan ForLoopPlan(const Hypergraph& h,
                             const std::vector<int>* order = nullptr);
 
-/// Executes the plan on the database; returns the Boolean answer. The plan
-/// must eliminate every vertex of `h`. CHECKs that each MM step's
-/// expression is valid for the hypergraph state it executes against.
+/// Executes the plan on the database; returns the Boolean answer. Input
+/// relations are shared, never copied.
+///
+/// An MM step places each incident relation on the A side if its schema
+/// lies inside x|g|z, on the B side if inside y|g|z (both if both). With
+/// VA, VB the unions of the schemas placed on each side, it multiplies
+/// over x' = x + (g cap VA \ VB) and y' = y + (g cap VB \ VA), grouped by
+/// g' = g cap VA cap VB: a G variable that only one side covers becomes a
+/// row (or column) dimension of that side instead of an unconstrained
+/// group key. The output schema x|y|g = N(block) is unchanged.
+///
+/// A malformed plan throws QueryAbort(kInvalidArgument) (RunGuarded turns
+/// it into a status): relations that do not match `h`'s edges, a block
+/// that is empty, overlaps an earlier block or leaves the vertex set, a
+/// plan that does not eliminate every vertex, an MM step with
+/// mm.z != block, an incident relation neither MM side covers, or an MM
+/// side that does not cover the block.
 bool ExecutePlan(const Hypergraph& h, const QueryInput& db,
                  const EliminationPlan& plan,
                  const EliminationOptions& opts = {},

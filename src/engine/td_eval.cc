@@ -1,8 +1,9 @@
 #include "engine/td_eval.h"
 
-#include <map>
+#include <memory>
 
 #include "core/exec_context.h"
+#include "engine/elimination.h"
 #include "engine/wcoj.h"
 #include "relation/ops.h"
 #include "util/check.h"
@@ -13,36 +14,22 @@ namespace fmmsw {
 namespace {
 
 /// Materializes the bag relation: the WCOJ join over the projections onto
-/// the bag of every relation intersecting it. Sound (a superset of the
-/// projection of the full join onto the bag) and O(N^{rho*(bag)}).
+/// the bag of every relation intersecting it (same-schema projections
+/// intersected). Sound (a superset of the projection of the full join onto
+/// the bag) and O(N^{rho*(bag)}).
 Relation MaterializeBag(const Hypergraph& h, const QueryInput& db, VarSet bag,
                         ExecContext* ec) {
-  // Merge relations with the same projected schema by intersection so the
-  // sub-hypergraph's edges and relations stay aligned.
-  // contracts: allow(no-node-map) schema-keyed merge pool, O(#edges)
-  // entries per bag.
-  std::map<VarSet, Relation> by_schema;
+  // Restrict the vertex set to the bag by eliminating the complement.
+  Hypergraph sub = Hypergraph(h.num_vars(), h.names())
+                       .Eliminate(VarSet::Full(h.num_vars()) - bag);
+  QueryInput sub_db;
   for (size_t e = 0; e < h.edges().size(); ++e) {
     const VarSet overlap = h.edges()[e] & bag;
     if (overlap.empty()) continue;
-    Relation proj = Project(db.relations[e], bag, ec);
-    auto it = by_schema.find(overlap);
-    if (it == by_schema.end()) {
-      by_schema.emplace(overlap, std::move(proj));
-    } else {
-      it->second = Intersect(it->second, proj, ec);
-    }
+    AddAtom(&sub, &sub_db, overlap,
+            std::make_shared<const Relation>(Project(db.relations[e], bag, ec)),
+            ec);
   }
-  Hypergraph sub(h.num_vars(), h.names());
-  QueryInput sub_db;
-  // Restrict the vertex set to the bag by eliminating the complement.
-  sub = Hypergraph(h.num_vars(), h.names()).Eliminate(VarSet::Full(
-      h.num_vars()) - bag);
-  for (auto& [schema, rel] : by_schema) {
-    sub.AddEdge(schema);
-    sub_db.relations.push_back(std::move(rel));
-  }
-  FMMSW_CHECK(sub.edges().size() == sub_db.relations.size());
   return WcojJoin(sub, sub_db, bag, nullptr, ec);
 }
 
@@ -100,23 +87,8 @@ bool TdBoolean(const Hypergraph& h, const QueryInput& db,
 
 bool TdBooleanBest(const Hypergraph& h, const QueryInput& db,
                    ExecContext* ctx) {
-  auto tds = EnumerateTds(h);
-  FMMSW_CHECK(!tds.empty());
-  const TreeDecomposition* best = &tds[0];
-  Rational best_w;
-  bool first = true;
-  for (const auto& td : tds) {
-    Rational w(0);
-    for (VarSet bag : td.bags) {
-      w = Rational::Max(w, FractionalEdgeCover(h, bag));
-    }
-    if (first || w < best_w) {
-      best_w = w;
-      best = &td;
-      first = false;
-    }
-  }
-  return TdBoolean(h, db, *best, ctx);
+  ExecContext& ec = ExecContext::Resolve(ctx);
+  return TdBoolean(h, db, MinFhtwTd(h, &ec).td, &ec);
 }
 
 }  // namespace fmmsw

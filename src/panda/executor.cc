@@ -24,8 +24,7 @@ uint64_t Key(VarSet given, VarSet total) {
 /// Tables currently associated with conditional terms. Several tables can
 /// share a key (e.g. the three Q_l tables of Figure 1 all sit on h(XYZ)).
 /// Keys are interned through the flat index into dense slots (was a
-/// std::map over std::pair keys). Stored tables are pinned for the
-/// lifetime of the map — the sort-order cache keys on their buffers.
+/// std::map over std::pair keys).
 class TableMap {
  public:
   void Add(VarSet given, VarSet total, Relation table) {
@@ -73,11 +72,6 @@ bool ExecuteProofSequence(const Hypergraph& h, const QueryInput& db,
                           MmKernel kernel, PandaStats* stats,
                           ExecContext* ctx) {
   ExecContext& ec = ExecContext::Resolve(ctx);
-  // Tables live in the TableMap for the whole execution, so repeated
-  // decompositions of the same table can reuse its grouping sort order
-  // through the context's arena (the order depends on (table, X, Y) but
-  // not on the threshold).
-  ExecContext::SortOrderScope sort_scope(ec);
   TableMap tables;
   // RHS terms start as the input atoms (Theorem E.10's initial
   // association). Unconditional terms must match an atom schema.

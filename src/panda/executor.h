@@ -33,10 +33,7 @@ struct PandaStats {
 
 /// Executes the proof sequence for the inequality on the database.
 /// `threshold` is the heavy/light degree threshold Delta (Figure 1 uses
-/// Delta = N^{(w-1)/(w+1)}). Returns the Boolean query answer. Runs under
-/// an ExecContext::SortOrderScope: decomposition steps re-partitioning a
-/// table already held by the executor reuse its grouping sort order from
-/// the context's arena.
+/// Delta = N^{(w-1)/(w+1)}). Returns the Boolean query answer.
 bool ExecuteProofSequence(const Hypergraph& h, const QueryInput& db,
                           const OmegaShannonInequality& ineq,
                           const ProofSequence& seq, int64_t threshold,

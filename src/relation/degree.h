@@ -39,12 +39,8 @@ struct DegreePartition {
   Relation light;
 };
 
-/// Splits R on deg(Y|X) at `threshold`. The grouping sort order depends
-/// only on (R, X, Y), not on the threshold: within an active
-/// ExecContext::SortOrderScope the order is cached and reused across
-/// repeated partitions of the same pinned relation (the PANDA executor's
-/// proof-sequence steps), and the packed-key sort borrows the context's
-/// scratch arena instead of allocating.
+/// Splits R on deg(Y|X) at `threshold`. The packed-key grouping sort
+/// borrows the context's scratch arena instead of allocating.
 DegreePartition PartitionByDegree(const Relation& r, VarSet y, VarSet x,
                                   int64_t threshold,
                                   ExecContext* ctx = nullptr);

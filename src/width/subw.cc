@@ -53,22 +53,22 @@ Rational RhoStar(const Hypergraph& h, ExecContext* ctx) {
   return FractionalEdgeCover(h, h.vertices(), ctx);
 }
 
-Rational Fhtw(const Hypergraph& h, ExecContext* ctx) {
-  auto tds = EnumerateTds(h);
+WidthTd MinFhtwTd(const Hypergraph& h, ExecContext* ctx) {
+  std::vector<TreeDecomposition> tds = EnumerateTds(h);
   FMMSW_CHECK(!tds.empty());
-  bool first_td = true;
-  Rational best;
-  for (const auto& td : tds) {
+  WidthTd best;
+  for (size_t i = 0; i < tds.size(); ++i) {
     Rational width(0);
-    for (const VarSet& bag : td.bags) {
+    for (const VarSet& bag : tds[i].bags) {
       width = Rational::Max(width, FractionalEdgeCover(h, bag, ctx));
     }
-    if (first_td || width < best) {
-      best = width;
-      first_td = false;
-    }
+    if (i == 0 || width < best.width) best = {std::move(tds[i]), width};
   }
   return best;
+}
+
+Rational Fhtw(const Hypergraph& h, ExecContext* ctx) {
+  return MinFhtwTd(h, ctx).width;
 }
 
 SubwResult SubmodularWidth(const Hypergraph& h, ExecContext* ctx) {

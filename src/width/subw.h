@@ -28,6 +28,18 @@ Rational FractionalEdgeCover(const Hypergraph& h, VarSet target,
 /// rho*(H) = FractionalEdgeCover over all vertices.
 Rational RhoStar(const Hypergraph& h, ExecContext* ctx = nullptr);
 
+/// A tree decomposition with its width (max over bags of the fractional
+/// edge cover of the bag).
+struct WidthTd {
+  TreeDecomposition td;
+  Rational width;
+};
+
+/// The first minimum-width TD in EnumerateTds order. Its width is the
+/// fractional hypertree width. The cover LPs poll `ctx`'s guard and count
+/// in its stats.
+WidthTd MinFhtwTd(const Hypergraph& h, ExecContext* ctx = nullptr);
+
 /// Fractional hypertree width: min over TDs of max over bags of the
 /// fractional edge cover of the bag.
 Rational Fhtw(const Hypergraph& h, ExecContext* ctx = nullptr);

@@ -14,6 +14,7 @@
 #include "gtest/gtest.h"
 #include "relation/generators.h"
 #include "relation/ops.h"
+#include "width/emm.h"
 
 namespace fmmsw {
 namespace {
@@ -99,6 +100,17 @@ TEST(TdEvalTest, PositiveOnPlantedWitness) {
   Hypergraph h = Hypergraph::Cycle(4);
   QueryInput db = MakeWorkload(h, opts);
   EXPECT_TRUE(TdBooleanBest(h, db));
+}
+
+TEST(TdEvalTest, BestTdSolvesItsLpsOnTheQueryContext) {
+  WorkloadOptions opts;
+  opts.tuples_per_relation = 30;
+  opts.domain = 8;
+  const Hypergraph h = Hypergraph::Cycle(4);
+  const QueryInput db = MakeWorkload(h, opts);
+  ExecContext ec(1);
+  EXPECT_EQ(TdBooleanBest(h, db, &ec), BruteForceBoolean(h, db));
+  EXPECT_GT(ec.stats().lp_solves.load(), 0);
 }
 
 // --------------------------------------------------- elimination interp. --
@@ -203,6 +215,128 @@ TEST(EliminationTest, StrassenKernelMatchesBoolean) {
     EXPECT_EQ(ExecutePlan(h, db, plan, opts), expect)
         << "kernel=" << static_cast<int>(kernel);
   }
+}
+
+TEST(EliminationTest, FirstStepMmOptionsMatchBruteForce) {
+  // Differential sweep: every MM option of every non-empty block as the
+  // first step, for-loops after it, against brute force. Options whose G
+  // holds a variable only one side's relations cover (e.g. pyramid-3,
+  // block {X1}, MM({Y};{X3};{X1}|{X2})) used to lose answers.
+  const WorkloadKind kinds[] = {WorkloadKind::kUniform, WorkloadKind::kZipf,
+                                WorkloadKind::kDense};
+  int plans = 0;
+  for (const Hypergraph& h :
+       {Hypergraph::Triangle(), Hypergraph::Cycle(4), Hypergraph::Clique(4),
+        Hypergraph::Pyramid(3), Hypergraph::DoubleTriangle(),
+        Hypergraph::LemmaC15()}) {
+    for (int seed = 0; seed < 6; ++seed) {
+      WorkloadOptions opts;
+      opts.kind = kinds[seed % 3];
+      opts.tuples_per_relation = 20;
+      opts.domain = opts.kind == WorkloadKind::kDense ? 4 : 12;
+      opts.dense_density = 0.3;
+      opts.seed = static_cast<uint64_t>(seed) + 900;
+      opts.plant_witness = seed % 2 == 0;
+      const QueryInput db = MakeWorkload(h, opts);
+      const bool expect = BruteForceBoolean(h, db);
+      for (VarSet block : Subsets(h.vertices())) {
+        if (block.empty()) continue;
+        for (const MmExpr& mm : EnumerateMmOptions(h, block)) {
+          EliminationPlan plan;
+          plan.steps.push_back({block, StepMethod::kMm, mm});
+          for (int v : (h.vertices() - block).Members()) {
+            plan.steps.push_back({VarSet::Singleton(v), StepMethod::kForLoop, {}});
+          }
+          ++plans;
+          EXPECT_EQ(ExecutePlan(h, db, plan), expect)
+              << h.ToString() << " seed=" << seed << " "
+              << mm.ToString(&h.names());
+        }
+      }
+    }
+  }
+  EXPECT_EQ(plans, 936);
+}
+
+TEST(EliminationTest, MalformedPlansReturnInvalidArgument) {
+  const Hypergraph h = Hypergraph::Triangle();
+  WorkloadOptions opts;
+  opts.tuples_per_relation = 20;
+  opts.domain = 5;
+  opts.plant_witness = true;
+  const QueryInput db = MakeWorkload(h, opts);
+  const auto forloop = [](std::vector<VarSet> blocks) {
+    EliminationPlan plan;
+    for (VarSet b : blocks) plan.steps.push_back({b, StepMethod::kForLoop, {}});
+    return plan;
+  };
+  const auto mm_first = [&](MmExpr mm, VarSet block) {
+    EliminationPlan plan = forloop({VarSet{0}, VarSet{2}});
+    plan.steps.insert(plan.steps.begin(), {block, StepMethod::kMm, mm});
+    return plan;
+  };
+  const std::pair<const char*, EliminationPlan> cases[] = {
+      {"block outside the vertex set", forloop({VarSet{0, 1, 2, 3}})},
+      {"block eliminated twice", forloop({VarSet{0}, VarSet{0}, VarSet{1, 2}})},
+      {"empty block", forloop({VarSet(), VarSet{0, 1, 2}})},
+      {"vertex left over", forloop({VarSet{0}, VarSet{1}})},
+      {"mm.z != block",
+       mm_first(MmExpr{VarSet{0}, VarSet{2}, VarSet{0}, VarSet()}, VarSet{1})},
+      {"incident relation on neither side",
+       mm_first(MmExpr{VarSet{0}, VarSet(), VarSet{1}, VarSet()}, VarSet{1})},
+  };
+  ExecContext ec(1);
+  for (const auto& [name, plan] : cases) {
+    const ExecResult r =
+        RunGuarded(ec, {}, [&] { ExecutePlan(h, db, plan, {}, nullptr, &ec); });
+    EXPECT_EQ(r.status, ExecStatus::kInvalidArgument) << name;
+    EXPECT_FALSE(r.message.empty()) << name;
+  }
+  // 4-cycle, block {X0, X2}: no relation fits the A side x|g|z = {X0, X2}.
+  const Hypergraph cycle = Hypergraph::Cycle(4);
+  const QueryInput cycle_db = MakeWorkload(cycle, opts);
+  EliminationPlan uncovered;
+  uncovered.steps = {{VarSet{0, 2}, StepMethod::kMm,
+                      MmExpr{VarSet(), VarSet{1, 3}, VarSet{0, 2}, VarSet()}},
+                     {VarSet{1}, StepMethod::kForLoop, {}},
+                     {VarSet{3}, StepMethod::kForLoop, {}}};
+  EXPECT_EQ(RunGuarded(ec, {},
+                       [&] {
+                         ExecutePlan(cycle, cycle_db, uncovered, {}, nullptr,
+                                     &ec);
+                       })
+                .status,
+            ExecStatus::kInvalidArgument);
+  QueryInput short_db;
+  short_db.relations.push_back(db.relations.ptr(0));
+  EXPECT_EQ(RunGuarded(ec, {},
+                       [&] {
+                         ExecutePlan(h, short_db, ForLoopPlan(h), {}, nullptr,
+                                     &ec);
+                       })
+                .status,
+            ExecStatus::kInvalidArgument);
+  QueryInput swapped = db;
+  swapped.relations.Swap(1, 2);
+  EXPECT_EQ(RunGuarded(ec, {},
+                       [&] {
+                         ExecutePlan(h, swapped, ForLoopPlan(h), {}, nullptr,
+                                     &ec);
+                       })
+                .status,
+            ExecStatus::kInvalidArgument);
+  // X3 is isolated: its block has no incident edge.
+  Hypergraph isolated(3);
+  isolated.AddEdge(VarSet{0, 1});
+  QueryInput one;
+  one.relations.push_back(db.relations.ptr(0));
+  EXPECT_EQ(RunGuarded(ec, {},
+                       [&] {
+                         ExecutePlan(isolated, one, ForLoopPlan(isolated), {},
+                                     nullptr, &ec);
+                       })
+                .status,
+            ExecStatus::kInvalidArgument);
 }
 
 // ---------------------------------------------------------- triangle ----
@@ -413,6 +547,27 @@ TEST(ApiTest, ComputeWidthsTriangle) {
             Rational(2) * omega / (omega + Rational(1)));
   std::string text = FormatWidthReport(Hypergraph::Triangle(), omega, report);
   EXPECT_NE(text.find("w-subw"), std::string::npos);
+}
+
+TEST(ApiTest, UncoveredVertexIsInvalidArgument) {
+  // Vertex 2 is in no hyperedge. Every entry point must say so instead of
+  // inventing a value for it (join, count) or aborting (Boolean).
+  Hypergraph h(3);
+  h.AddEdge(VarSet{0, 1});
+  QueryInput db;
+  db.relations.push_back(MakeRel(VarSet{0, 1}, {{5, 6}, {7, 8}}));
+  bool answer = false;
+  int64_t count = -1;
+  Relation rows;
+  ExecResult r = EvaluateBooleanWithRecovery(h, db, &answer);
+  EXPECT_EQ(r.status, ExecStatus::kInvalidArgument);
+  EXPECT_NE(r.message.find("X2"), std::string::npos) << r.message;
+  EXPECT_EQ(EvaluateCountWithRecovery(h, db, &count).status,
+            ExecStatus::kInvalidArgument);
+  EXPECT_EQ(count, -1);
+  EXPECT_EQ(EvaluateJoinWithRecovery(h, db, h.vertices(), &rows).status,
+            ExecStatus::kInvalidArgument);
+  EXPECT_TRUE(rows.empty());
 }
 
 TEST(ApiTest, EvaluateStrategiesAgree) {

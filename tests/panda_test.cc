@@ -185,9 +185,9 @@ TEST(ExecutorTest, FlatInternedDimensionsHandleExtremeValues) {
 }
 
 TEST(ExecutorTest, ProofSequenceRunsUnderSortOrderScope) {
-  // The executor opens an ExecContext::SortOrderScope; repeated executions
-  // on the same context must not leak cache state across calls (each call
-  // clears the cache on entry and exit).
+  // Repeated executions on one context give the same answer: no state
+  // from one proof sequence leaks into the next, and every execution runs
+  // its three decomposition partitions.
   WorkloadOptions opts;
   opts.kind = WorkloadKind::kZipf;
   opts.tuples_per_relation = 200;
