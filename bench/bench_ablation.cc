@@ -89,8 +89,6 @@ void KernelAblation() {
   };
   bench::Row("boolean bit-packed", "-",
              bench::Fmt(time_it(MmKernel::kBoolean, 2.371552)) + " s");
-  bench::Row("strassen (w=log2 7)", "-",
-             bench::Fmt(time_it(MmKernel::kStrassen, 2.8073549)) + " s");
   bench::Row("naive cubic", "-",
              bench::Fmt(time_it(MmKernel::kNaive, 3.0)) + " s");
 }

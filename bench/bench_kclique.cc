@@ -20,8 +20,7 @@ void RunK(int k) {
   std::printf("\n-- k = %d --\n", k);
   ExecContext ec;
   std::vector<double> ns, t_comb, t_mm;
-  std::printf("%10s %12s %12s %12s\n", "N", "wcoj", "mm boolean",
-              "mm strassen");
+  std::printf("%10s %12s %12s\n", "N", "wcoj", "mm boolean");
   std::vector<int64_t> domains =
       k <= 4 ? std::vector<int64_t>{24, 36, 54, 80, 120}
              : std::vector<int64_t>{12, 18, 27, 40};
@@ -57,7 +56,7 @@ void RunK(int k) {
       continue;
     }
     const int reps = 2;
-    double a_ib, b_ib, c_ib;
+    double a_ib, b_ib;
     const double a = bench::TimeWithIndexBuild(
         ec, [&] { return CliqueCombinatorial(k, db, &ec); }, reps, &a_ib);
     const double b = bench::TimeWithIndexBuild(
@@ -66,21 +65,14 @@ void RunK(int k) {
           return CliqueMm(k, db, MmKernel::kBoolean, nullptr, &ec);
         },
         reps, &b_ib);
-    const double c = bench::TimeWithIndexBuild(
-        ec,
-        [&] {
-          return CliqueMm(k, db, MmKernel::kStrassen, nullptr, &ec);
-        },
-        reps, &c_ib);
     ns.push_back(static_cast<double>(db.TotalSize()));
     t_comb.push_back(a);
     t_mm.push_back(b);
     const long long total = static_cast<long long>(db.TotalSize());
-    std::printf("%10lld %12.5f %12.5f %12.5f\n", total, a, b, c);
+    std::printf("%10lld %12.5f %12.5f\n", total, a, b);
     const std::string name = "clique_k" + std::to_string(k);
     bench::Json(name, total, "wcoj", a * 1e3, a_ib);
     bench::Json(name, total, "mm_boolean", b * 1e3, b_ib);
-    bench::Json(name, total, "mm_strassen", c * 1e3, c_ib);
   }
   const Rational omega(2371552, 1000000);
   bench::Row("combinatorial exponent",

@@ -1,11 +1,10 @@
-// E8 — the MM kernel substrate: measured runtime of the int64 kernels
-// (micro-kernel blocked product at both SIMD levels, Strassen, the Eq. (6)
-// rectangular square-blocking scheme), the bit-sliced 0/1 counting
+// E8 — the MM kernel substrate: measured runtime of the int64
+// micro-kernel product at both SIMD levels, the bit-sliced 0/1 counting
 // product, and the bit-packed Boolean product, across an n-sweep; plus the
-// n^{w-square(a,b,c)} shape table at w = log2 7. Every timed kernel is
-// verified against MultiplyNaive once per size before timing.
+// Eq. (6) n^{w-square(a,b,c)} shape table at w = 2.371552 (cost_model).
+// Every timed kernel is verified against MultiplyNaive once per size
+// before timing.
 
-#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -51,14 +50,13 @@ double TimeKernel(const std::function<Matrix()>& f, int reps,
 }
 
 void Run() {
-  bench::Header("MM kernels: micro-kernel / Strassen / rectangular / "
-                "bit-sliced (verified vs naive)");
+  bench::Header("MM kernels: micro-kernel / bit-sliced / bit-packed "
+                "(verified vs naive)");
   ExecContext ec;
   std::printf("active SIMD level: %s (FMMSW_SIMD overrides)\n",
               SimdLevelName(ActiveSimdLevel()));
-  std::printf("%6s %12s %12s %12s %12s %12s %12s\n", "n", "gemm_scalar",
-              "gemm_simd", "strassen", "rect_wide", "bitsliced",
-              "bitmatrix");
+  std::printf("%6s %12s %12s %12s %12s\n", "n", "gemm_scalar", "gemm_simd",
+              "bitsliced", "bitmatrix");
   for (int n : {128, 256, 512}) {
     if (!bench::StepEnabled(n)) continue;
     const int reps = n <= 256 ? 5 : 2;
@@ -66,15 +64,13 @@ void Run() {
     Matrix a = RandomMatrix(n, n, &rng), b = RandomMatrix(n, n, &rng);
     const Matrix ref = MultiplyNaive(a, b);
 
-    // Micro-kernel base case at each level (the whole product as one
-    // panel call — the shape the Strassen cutoff and rectangular blocks
-    // see, scaled up). Scratch hoisted out of the timed lambda like
-    // production callers, which reuse caller scratch or a worker arena.
-    MmPackScratch pack;
+    // Micro-kernel at each level (the whole product as one panel call;
+    // the pack buffers come from a worker arena of `ec`, as in
+    // MultiplyBlocked).
     auto gemm_at = [&](SimdLevel level) {
       Matrix out(n, n);
       GemmAddAt(level, a.RowPtr(0), n, b.RowPtr(0), n, out.RowPtr(0), n, n,
-                n, n, &ec, &pack);
+                n, n, &ec);
       return out;
     };
     const double t_scalar =
@@ -84,21 +80,6 @@ void Run() {
       t_simd =
           TimeKernel([&] { return gemm_at(SimdLevel::kAvx2); }, reps, ref);
     }
-    // Sub-n cutoff so the strassen column always exercises the recursion
-    // (AddInto/Accumulate + pow2 embedding); with the production default
-    // of kMmDefaultCutoff the n <= 256 sizes would collapse to a single
-    // micro-kernel call and duplicate the gemm columns.
-    const double t_strassen = TimeKernel(
-        [&] { return MultiplyStrassen(a, b, 64, &ec); }, reps, ref);
-
-    // Rectangular n x sqrt(n) x n — the Eq. (6) wide shape.
-    const int mid = static_cast<int>(std::sqrt(static_cast<double>(n)));
-    Matrix wa = RandomMatrix(n, mid, &rng), wb = RandomMatrix(mid, n, &rng);
-    const Matrix wref = MultiplyNaive(wa, wb);
-    const double t_rect = TimeKernel(
-        [&] { return MultiplyRectangular(wa, wb, kMmDefaultCutoff, &ec); },
-        reps, wref);
-
     // 0/1 counting product: bit-sliced vs the same product through the
     // int64 micro-kernel path (the cost it removes). The mm_pack_ns delta
     // splits out the bit-plane packing time (blocked transpose for B).
@@ -131,12 +112,10 @@ void Run() {
     } else {
       std::snprintf(simd_col, sizeof(simd_col), "%12s", "n/a");
     }
-    std::printf("%6d %12.5f %s %12.5f %12.5f %12.5f %12.5f\n", n, t_scalar,
-                simd_col, t_strassen, t_rect, t_bits, t_bool);
+    std::printf("%6d %12.5f %s %12.5f %12.5f\n", n, t_scalar, simd_col,
+                t_bits, t_bool);
     bench::Json("mm", n, "gemm_scalar", t_scalar * 1e3);
     if (t_simd >= 0) bench::Json("mm", n, "gemm_simd", t_simd * 1e3);
-    bench::Json("mm", n, "strassen", t_strassen * 1e3);
-    bench::Json("mm", n, "rect_wide", t_rect * 1e3);
     bench::Json("mm", n, "bitsliced", t_bits * 1e3);
     bench::Json("mm", n, "bitsliced_pack", t_bits_pack * 1e3);
     bench::Json("mm", n, "bitmatrix", t_bool * 1e3);
@@ -166,8 +145,8 @@ void Run() {
   }
 
   // Shape table: predicted block count * d^w vs Eq. (6) exponent.
-  bench::Header("Eq. (6): w-square(a,b,c) predictions at w = log2 7");
-  const double w = std::log2(7.0);
+  bench::Header("Eq. (6): w-square(a,b,c) predictions at w = 2.371552");
+  const double w = 2.371552;
   struct Shape {
     double a, b, c;
   };

@@ -50,16 +50,16 @@ QueryInput MakeNegativeInstance(int64_t n) {
 void Run() {
   bench::Header(
       "Triangle detection: runtime shape (dense-square, triangle-free)");
-  std::vector<double> ns, t_wcoj, t_mm2, t_mmstr, t_panda;
-  std::printf("%10s %12s %12s %12s %12s\n", "N", "wcoj(s)", "mm w=2.37",
-              "mm strassen", "panda-derived");
+  std::vector<double> ns, t_wcoj, t_mm2, t_panda;
+  std::printf("%10s %12s %12s %12s\n", "N", "wcoj(s)", "mm w=2.37",
+              "panda-derived");
   ExecContext ec;
   for (int64_t n : {4000, 8000, 16000, 32000, 64000, 128000}) {
     if (!bench::StepEnabled(n)) continue;
     QueryInput db = MakeNegativeInstance(n);
     const int reps = n <= 8000 ? 3 : 1;
-    double a_ib, b_ib, c_ib, d_ib;
-    double a_sort, b_sort, c_sort, d_sort;
+    double a_ib, b_ib, d_ib;
+    double a_sort, b_sort, d_sort;
     const double a = bench::TimeWithPhases(
         ec, [&] { return TriangleCombinatorial(db, &ec); }, reps, &a_ib,
         &a_sort);
@@ -69,13 +69,6 @@ void Run() {
           return TriangleMm(db, 2.371552, MmKernel::kBoolean, nullptr, &ec);
         },
         reps, &b_ib, &b_sort);
-    const double c = bench::TimeWithPhases(
-        ec,
-        [&] {
-          return TriangleMm(db, 2.8073549, MmKernel::kStrassen, nullptr,
-                            &ec);
-        },
-        reps, &c_ib, &c_sort);
     const double d = bench::TimeWithPhases(
         ec,
         [&] {
@@ -86,13 +79,11 @@ void Run() {
     ns.push_back(static_cast<double>(db.TotalSize()));
     t_wcoj.push_back(a);
     t_mm2.push_back(b);
-    t_mmstr.push_back(c);
     t_panda.push_back(d);
     const long long total = static_cast<long long>(db.TotalSize());
-    std::printf("%10lld %12.5f %12.5f %12.5f %12.5f\n", total, a, b, c, d);
+    std::printf("%10lld %12.5f %12.5f %12.5f\n", total, a, b, d);
     bench::Json("triangle", total, "wcoj", a * 1e3, a_ib, a_sort);
     bench::Json("triangle", total, "mm_w2.37", b * 1e3, b_ib, b_sort);
-    bench::Json("triangle", total, "mm_strassen", c * 1e3, c_ib, c_sort);
     bench::Json("triangle", total, "panda", d * 1e3, d_ib, d_sort);
   }
   std::printf("\n");
@@ -101,9 +92,6 @@ void Run() {
   bench::Row("MM hybrid exponent (w=2.3716)", "1.4068",
              bench::Fmt(bench::FitSlope(ns, t_mm2)),
              "fitted; 2w/(w+1)");
-  bench::Row("MM hybrid exponent (Strassen)", "1.4750",
-             bench::Fmt(bench::FitSlope(ns, t_mmstr)),
-             "fitted; 2w/(w+1) at w=log2 7");
   bench::Row("proof-seq-derived exponent", "1.4068",
              bench::Fmt(bench::FitSlope(ns, t_panda)), "fitted");
 }
@@ -233,16 +221,15 @@ void RunRecovery() {
              "RunWithRecovery, no fault, vs direct call");
 
   // --- Degradation demos. Two pressure sources: ---
-  // (a) a real memory budget between the measured Strassen and WCOJ
-  //     peaks — the pow2-padded top rung trips it and the ladder settles
-  //     on the hungriest strategy that fits (on this dense-square shape
-  //     that is blocked GEMM, whose slab charges are tiny);
+  // (a) a real memory budget between the measured bit-sliced and WCOJ
+  //     peaks — the mm-bitsliced rung trips it and the ladder settles on
+  //     WCOJ;
   // (b) the deterministic mm:1 fault plan — simulated memory pressure on
-  //     the whole MM plane, so every MM rung aborts retryably and the
-  //     ladder falls all the way to WCOJ.
+  //     the whole MM plane, so the MM rung aborts retryably and the
+  //     ladder falls to WCOJ.
   ec.stats().Reset();
   sw.Reset();
-  const int64_t mm_count = TriangleCountMm(db, MmKernel::kStrassen, &ec);
+  const int64_t mm_count = TriangleCountMm(db, MmKernel::kBitSliced, &ec);
   const double t_mm = sw.Seconds();
   const int64_t mm_peak = ec.stats().mem_peak_bytes.load();
   ec.stats().Reset();
@@ -301,7 +288,7 @@ void RunRecovery() {
   bench::Json("triangle_recovery", total, "recovered_degraded",
               t_recovered * 1e3);
   bench::Row("degraded run status", "ok", StatusString(r.status),
-             "MM rungs abort retryably, ladder falls to WCOJ");
+             "MM rung aborts retryably, ladder falls to WCOJ");
   bench::Row("degraded winning rung", "wcoj", report.winning_rung,
              "answer bit-identical to clean WCOJ run");
   bench::Row("degraded count matches", "yes",

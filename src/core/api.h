@@ -69,17 +69,17 @@ ExecResult ValidateQuery(const Hypergraph& h, const QueryInput& db);
 /// \name Recovery entry points
 /// Guarded evaluation with degraded-plan retry (core/recovery.h): each
 /// call builds the query's degradation ladder from the engine/strategy.h
-/// capability cards — for the canonical triangle query the full
-/// MM-hybrid/Strassen -> blocked GEMM -> bit-sliced -> plain-WCOJ ladder
-/// (Boolean: Strassen hybrid -> Boolean-product hybrid -> WCOJ); for
-/// general queries elimination -> best-TD -> WCOJ (Boolean) or the
-/// single-rung WCOJ (count/join) — and walks it with RunWithRecovery
-/// under `limits` and `policy`. A retryable abort (memory budget,
-/// capacity cap, injected fault-plan pressure) falls through to the next
-/// cheaper rung; the answer returned is bit-identical to a clean run of
-/// the winning rung at every thread count. On any non-kOk status the
-/// output parameter is untouched. `report`, when non-null, records the
-/// ladder walk (attempts, failures, winning rung).
+/// capability cards — for the canonical triangle query the bit-sliced
+/// counting product -> plain-WCOJ ladder (Boolean: Boolean-product
+/// hybrid -> WCOJ); for general queries elimination -> best-TD -> WCOJ
+/// (Boolean) or the single-rung WCOJ (count/join) — and walks it with
+/// RunWithRecovery under `limits` and `policy`. A retryable abort
+/// (memory budget, capacity cap, injected fault-plan pressure) falls
+/// through to the next cheaper rung; the answer returned is
+/// bit-identical to a clean run of the winning rung at every thread
+/// count. On any non-kOk status the output parameter is untouched.
+/// `report`, when non-null, records the ladder walk (attempts, failures,
+/// winning rung).
 /// @{
 ExecResult EvaluateBooleanWithRecovery(
     const Hypergraph& h, const QueryInput& db, bool* result,

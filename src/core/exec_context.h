@@ -94,9 +94,8 @@ namespace fmmsw {
 ///                             run out of whole tasks (the stealing path).
 /// MM micro-kernel counters (mm/kernel.h; mm_products above counts
 /// engine-level product launches, these count the kernel layer under it):
-///   - mm_base_calls         : packed-panel base-case products (GemmAdd
-///                             invocations: blocked slabs, Strassen cutoff
-///                             leaves, rectangular in-place blocks).
+///   - mm_base_calls         : packed-panel products (GemmAddAt
+///                             invocations: one per blocked slab).
 ///   - mm_simd_calls         : the subset that ran a vector inner kernel
 ///                             (AVX2; 0 under FMMSW_SIMD=off or on
 ///                             non-AVX2 hardware).
@@ -189,7 +188,7 @@ enum class FaultSite {
   kWcoj = 0,  ///< generic-WCOJ task claims and depth-1 coop blocks
   kSort,      ///< radix sort passes and scatter chunks (util/radix)
   kIndex,     ///< sharded flat-index build chunks (relation/flat_index)
-  kMm,        ///< MM slabs, Strassen recursions, bit-plane rows (mm/)
+  kMm,        ///< MM slabs and bit-plane rows (mm/)
   kLp,        ///< simplex pivots and width-search steps (lp/ + width/)
   kPanda,     ///< PANDA proof-sequence steps (panda/)
   kOps,       ///< relational operators + TD/elimination glue loops
@@ -240,8 +239,8 @@ bool ParseFaultPlan(const std::string& spec, FaultPlan* plan,
 ///
 /// The engines call Poll(site) at every morsel boundary — WCOJ task
 /// claims and depth-1 coop blocks, ParallelFor chunk claims, radix sort
-/// passes and scatter chunks, sharded index-build chunks, MM
-/// slabs/Strassen recursions, PANDA proof steps — naming the FaultSite
+/// passes and scatter chunks, sharded index-build chunks, MM slabs and
+/// bit-plane rows, PANDA proof steps — naming the FaultSite
 /// plane the boundary belongs to. The fast path is a single relaxed
 /// load of `armed_`: an unguarded query (no limits armed, no Cancel()
 /// issued) pays ~1ns per poll. When armed, a violation throws
@@ -511,7 +510,6 @@ class ExecContext {
 /// if a QueryAbort unwound between the two calls.
 class ArenaLease {
  public:
-  ArenaLease() = default;
   explicit ArenaLease(ExecContext& ec) {
     for (int w = 0; w < ec.threads(); ++w) {
       if (ec.scratch(w).TryAcquire()) {
@@ -519,21 +517,6 @@ class ArenaLease {
         break;
       }
     }
-  }
-  /// Leases exactly `arena` if it is free.
-  explicit ArenaLease(ScratchArena& arena) {
-    if (arena.TryAcquire()) arena_ = &arena;
-  }
-  ArenaLease(ArenaLease&& other) noexcept : arena_(other.arena_) {
-    other.arena_ = nullptr;
-  }
-  ArenaLease& operator=(ArenaLease&& other) noexcept {
-    if (this != &other) {
-      if (arena_ != nullptr) arena_->Release();
-      arena_ = other.arena_;
-      other.arena_ = nullptr;
-    }
-    return *this;
   }
   ArenaLease(const ArenaLease&) = delete;
   ArenaLease& operator=(const ArenaLease&) = delete;

@@ -1,50 +1,31 @@
 #include "engine/strategy.h"
 
-#include <cmath>
-
 #include "hypergraph/hypergraph.h"
 
 namespace fmmsw {
 
-namespace {
-
-// log2(7), the Strassen exponent: the degree-split threshold and the
-// kernel must agree (see TriangleMm's omega parameter).
-double StrassenOmega() { return std::log2(7.0); }
-
-}  // namespace
-
 const std::vector<StrategyCard>& TriangleCountLadder() {
-  static const std::vector<StrategyCard> ladder = [] {
-    std::vector<StrategyCard> l;
-    l.push_back({"mm-strassen", true, MmKernel::kStrassen, StrassenOmega(), 3});
-    l.push_back({"gemm-blocked", true, MmKernel::kNaive, 3.0, 2});
-    l.push_back({"mm-bitsliced", true, MmKernel::kBitSliced, 3.0, 1});
-    l.push_back({"wcoj", false, MmKernel::kBoolean, 3.0, 0});
-    return l;
-  }();
+  static const std::vector<StrategyCard> ladder = {
+      {"mm-bitsliced", true, MmKernel::kBitSliced, 3.0, 1},
+      {"wcoj", false, MmKernel::kBoolean, 3.0, 0},
+  };
   return ladder;
 }
 
 const std::vector<StrategyCard>& TriangleBooleanLadder() {
-  static const std::vector<StrategyCard> ladder = [] {
-    std::vector<StrategyCard> l;
-    l.push_back({"mm-strassen", true, MmKernel::kStrassen, StrassenOmega(), 2});
-    l.push_back({"mm-boolean", true, MmKernel::kBoolean, 3.0, 1});
-    l.push_back({"wcoj", false, MmKernel::kBoolean, 3.0, 0});
-    return l;
-  }();
+  static const std::vector<StrategyCard> ladder = {
+      {"mm-boolean", true, MmKernel::kBoolean, 3.0, 1},
+      {"wcoj", false, MmKernel::kBoolean, 3.0, 0},
+  };
   return ladder;
 }
 
 const std::vector<StrategyCard>& GenericBooleanLadder() {
-  static const std::vector<StrategyCard> ladder = [] {
-    std::vector<StrategyCard> l;
-    l.push_back({"elimination", false, MmKernel::kBoolean, 3.0, 2});
-    l.push_back({"best-td", false, MmKernel::kBoolean, 3.0, 1});
-    l.push_back({"wcoj", false, MmKernel::kBoolean, 3.0, 0});
-    return l;
-  }();
+  static const std::vector<StrategyCard> ladder = {
+      {"elimination", false, MmKernel::kBoolean, 3.0, 2},
+      {"best-td", false, MmKernel::kBoolean, 3.0, 1},
+      {"wcoj", false, MmKernel::kBoolean, 3.0, 0},
+  };
   return ladder;
 }
 

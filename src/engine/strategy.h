@@ -43,14 +43,15 @@ struct StrategyCard {
   int memory_rank = 0;
 };
 
-/// Degradation ladder for triangle *counting*:
-/// Strassen counting product -> blocked cubic GEMM -> bit-sliced 0/1
-/// product -> plain WCOJ count. Ordered by descending memory appetite.
+/// Degradation ladder for triangle *counting*: bit-sliced 0/1 counting
+/// product -> plain WCOJ count. One MM rung per ladder: the other
+/// counting kernels charge the same m x n int64 output, so a budget that
+/// aborts the bit-sliced product aborts them too; the measured kernel
+/// menu is in the README ("MM kernels").
 const std::vector<StrategyCard>& TriangleCountLadder();
 
-/// Degradation ladder for the *Boolean* triangle query:
-/// Strassen-thresholded hybrid -> bit-packed Boolean product hybrid ->
-/// plain WCOJ.
+/// Degradation ladder for the *Boolean* triangle query: bit-packed
+/// Boolean product hybrid (Delta at omega = 3) -> plain WCOJ.
 const std::vector<StrategyCard>& TriangleBooleanLadder();
 
 /// Degradation ladder for a generic Boolean query: "elimination" (the

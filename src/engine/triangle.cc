@@ -124,6 +124,10 @@ int64_t TriangleCountMm(const QueryInput& db, MmKernel kernel,
   const FlatInterner xi(xs, KeySpec(xs, xs.schema()), &ec);
   const FlatInterner yi(ys, KeySpec(ys, ys.schema()), &ec);
   const FlatInterner zi(zs, KeySpec(zs, zs.schema()), &ec);
+  // The two zero-filled int64 inputs, charged before they are allocated
+  // and held until the product returns.
+  const int64_t nx = xi.size(), ny = yi.size(), nz = zi.size();
+  MemCharge inputs(ec, (nx * ny + ny * nz) * 8);
   Matrix a(xi.size(), yi.size()), b(yi.size(), zi.size());
   for (size_t row = 0; row < r.size(); ++row) {
     a.At(xi.FindValue(r.Get(row, kX)), yi.FindValue(r.Get(row, kY))) = 1;

@@ -35,8 +35,10 @@ struct TriangleStats {
 bool TriangleCombinatorial(const QueryInput& db, ExecContext* ctx = nullptr);
 
 /// The Figure-1 algorithm. `omega` sets the partition threshold
-/// Delta = N^{(omega-1)/(omega+1)}; pass log2(7) when using the Strassen
-/// kernel so threshold and kernel agree.
+/// Delta = N^{(omega-1)/(omega+1)}. It is a parameter of the threshold
+/// only: every kernel computes the same heavy-part product, so any
+/// omega in [2, 3] pairs with any `kernel` (omega = 3 matches the cubic
+/// kernels that actually run).
 bool TriangleMm(const QueryInput& db, double omega,
                 MmKernel kernel = MmKernel::kBoolean,
                 TriangleStats* stats = nullptr, ExecContext* ctx = nullptr);
@@ -57,8 +59,10 @@ bool HeavyTriangleCore(const Relation& r, const Relation& s,
 
 /// Triangle counting via integer matrix multiplication (trace of A^3 on
 /// the heavy part is not enough for counts; this counts all triangles by
-/// summing the entrywise product of (M1 x M2) with T). Used by tests to
-/// cross-check against WcojCount.
+/// summing the entrywise product of (M1 x M2) with T). The two full-domain
+/// int64 input matrices, 8 * (|X||Y| + |Y||Z|) bytes, are charged to the
+/// context's guard before they are allocated, so a memory budget aborts
+/// the call before the allocation rather than after it.
 int64_t TriangleCountMm(const QueryInput& db, MmKernel kernel,
                         ExecContext* ctx = nullptr);
 

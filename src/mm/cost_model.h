@@ -16,7 +16,8 @@ namespace fmmsw {
 double OmegaSquareExponent(double a, double b, double c, double omega);
 
 /// Predicted scalar-operation count for multiplying an (m x k) by (k x n)
-/// matrix with the square-blocking Strassen kernel at the given omega.
+/// matrix by square blocking (Eq. 6) with a square kernel of exponent
+/// omega: (m/d)(k/d)(n/d) blocks of d^omega, d = min(m, k, n).
 double PredictedMmOps(int64_t m, int64_t k, int64_t n, double omega);
 
 /// Predicted operation count for the combinatorial pairwise join with the

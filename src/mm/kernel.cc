@@ -78,9 +78,8 @@ __attribute__((target("avx2"))) void MicroKernelAvx2W32(const int64_t* ap,
                                                         int64_t* acc) {
   // Narrow-value fast path: when every packed A and B value fits in
   // int32 (the packers verify — true for the engines' 0/1 indicator
-  // matrices and the small Strassen combinations of them), the exact
-  // 64-bit product is a single signed vpmuldq per vector instead of the
-  // three-vpmuludq emulation below.
+  // matrices), the exact 64-bit product is a single signed vpmuldq per
+  // vector instead of the three-vpmuludq emulation below.
   __m256i c0a = _mm256_setzero_si256(), c0b = _mm256_setzero_si256();
   __m256i c1a = _mm256_setzero_si256(), c1b = _mm256_setzero_si256();
   __m256i c2a = _mm256_setzero_si256(), c2b = _mm256_setzero_si256();
@@ -238,33 +237,23 @@ const char* SimdLevelName(SimdLevel level) {
 
 void GemmAddAt(SimdLevel level, const int64_t* a, int lda, const int64_t* b,
                int ldb, int64_t* c, int ldc, int m, int k, int n,
-               ExecContext* ctx, MmPackScratch* scratch) {
+               ExecContext* ctx) {
   if (m <= 0 || n <= 0 || k <= 0) return;  // degenerate shapes are no-ops
   ExecContext& ec = ExecContext::Resolve(ctx);
-  // One poll per base-case product: every blocked slab, Strassen leaf and
-  // rectangular block passes through here.
+  // One poll per panel product: every blocked slab passes through here.
   ec.guard().Poll(FaultSite::kMm);
   Bump(ec.stats().mm_base_calls);
   if (level != SimdLevel::kScalar) Bump(ec.stats().mm_simd_calls);
   const MicroFn micro = MicroKernelFor(level);
 
-  // Pack buffers: caller-provided scratch, else a free worker arena of
-  // the context (losers of the atomic acquire — e.g. several slabs
-  // multiplying concurrently — use call-local buffers). The lease is
-  // RAII: a QueryAbort unwinding out of a poll below must not leave the
-  // arena permanently busy.
-  MmPackScratch local;
-  ArenaLease lease;
-  std::vector<uint64_t>* apv = nullptr;
-  std::vector<uint64_t>* bpv = nullptr;
-  if (scratch != nullptr) {
-    apv = &scratch->a_pack;
-    bpv = &scratch->b_pack;
-  } else {
-    lease = ArenaLease(ec);
-    apv = lease ? &lease.get()->u64() : &local.a_pack;
-    bpv = lease ? &lease.get()->u64b() : &local.b_pack;
-  }
+  // Pack buffers: a free worker arena of the context (losers of the
+  // atomic acquire — e.g. several slabs multiplying concurrently — use
+  // call-local buffers). The lease is RAII: a QueryAbort unwinding out of
+  // a poll below must not leave the arena permanently busy.
+  std::vector<uint64_t> local_a, local_b;
+  ArenaLease lease(ec);
+  std::vector<uint64_t>* apv = lease ? &lease.get()->u64() : &local_a;
+  std::vector<uint64_t>* bpv = lease ? &lease.get()->u64b() : &local_b;
 
   const int mstrips = (m + kMr - 1) / kMr;
   const int nstrips = (n + kNr - 1) / kNr;
@@ -284,9 +273,9 @@ void GemmAddAt(SimdLevel level, const int64_t* a, int lda, const int64_t* b,
   alignas(32) int64_t acc[kMr * kNr];
   // Per-strip nonzero flags of the current A chunk; strips of zeros (and
   // whole-zero chunks) contribute nothing and skip B packing + kernels —
-  // sparse operands (the engines' indicator matrices, zero quadrants of
-  // the Strassen embedding) keep their O(nnz)-ish cost. Products taller
-  // than kMaxStrips tiles just forgo the skip (flags pinned nonzero).
+  // sparse operands (the engines' indicator matrices) keep their
+  // O(nnz)-ish cost. Products taller than kMaxStrips tiles just forgo the
+  // skip (flags pinned nonzero).
   constexpr int kMaxStrips = 512;
   uint8_t strip_nonzero[kMaxStrips];
   for (int kk0 = 0; kk0 < k; kk0 += kKc) {
@@ -453,8 +442,6 @@ Matrix MultiplyBitSliced(const Matrix& a, const Matrix& b,
 Matrix CountingProduct(const Matrix& a, const Matrix& b, MmKernel kernel,
                        ExecContext* ctx) {
   switch (kernel) {
-    case MmKernel::kStrassen:
-      return MultiplyRectangular(a, b, kMmDefaultCutoff, ctx);
     case MmKernel::kBitSliced:
     case MmKernel::kBoolean:
       // kBoolean has no counting form of its own; on 0/1 inputs the

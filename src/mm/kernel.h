@@ -32,14 +32,12 @@
 /// clamped to what the hardware supports). Tests drive both paths
 /// in-process through the explicit-level entry points.
 ///
-/// MultiplyBlocked, the Strassen cutoff base case, and the
-/// MultiplyRectangular block products (mm/matrix.h) all route through
+/// MultiplyBlocked (mm/matrix.h) routes every row slab through
 /// GemmAddAt; kernel launches and packing time are accounted on the
 /// ExecContext (mm_base_calls, mm_simd_calls, mm_bitsliced_calls,
 /// mm_pack_ns).
 
 #include <cstdint>
-#include <vector>
 
 #include "mm/matrix.h"
 
@@ -69,23 +67,16 @@ const char* SimdLevelName(SimdLevel level);
 inline constexpr int kMmTileRows = 4;  // MR
 inline constexpr int kMmTileCols = 8;  // NR
 
-/// Reusable packing buffers for GemmAddAt. Callers that issue many panel
-/// products sequentially (the Strassen recursion) pass one scratch so the
-/// panels are allocated once; without it GemmAddAt borrows a free
-/// ExecContext worker arena, or falls back to call-local buffers.
-struct MmPackScratch {
-  std::vector<uint64_t> a_pack, b_pack;
-};
-
 /// c (m x n, row stride ldc) += a (m x k, stride lda) * b (k x n, stride
 /// ldb). Exact mod-2^64 int64 product; degenerate shapes (any dimension
 /// <= 0) are no-ops. Single-threaded — callers parallelize over disjoint
 /// row slabs of c. `level` picks the inner kernel: production callers
 /// resolve ActiveSimdLevel() once per product, tests compare levels
-/// in-process.
+/// in-process. The packed panels live in a free worker arena of the
+/// context, or in call-local buffers when every arena is busy.
 void GemmAddAt(SimdLevel level, const int64_t* a, int lda, const int64_t* b,
                int ldb, int64_t* c, int ldc, int m, int k, int n,
-               ExecContext* ctx = nullptr, MmPackScratch* scratch = nullptr);
+               ExecContext* ctx = nullptr);
 
 /// True if every entry of m is 0 or 1 (the engines' indicator matrices).
 bool IsZeroOne(const Matrix& m);
@@ -104,15 +95,14 @@ Matrix MultiplyBitSliced(const Matrix& a, const Matrix& b,
 /// to a kernel; only exact counts (TriangleCountMm) call CountingProduct.
 enum class MmKernel {
   kBoolean,    ///< bit-packed (OR, AND) product
-  kStrassen,   ///< counting product via Strassen (omega = log2 7)
   kNaive,      ///< cubic counting product (blocked + micro-kernel)
   kBitSliced,  ///< 0/1 counting via bit-planes (falls back to cubic)
 };
 
-/// The counting product under `kernel`: kStrassen -> MultiplyRectangular,
-/// kNaive -> MultiplyBlocked, kBitSliced and kBoolean -> MultiplyBitSliced
-/// when both inputs verify as 0/1 (MultiplyBlocked otherwise). All
-/// choices return results bit-identical to MultiplyNaive(a, b).
+/// The counting product under `kernel`: kNaive -> MultiplyBlocked,
+/// kBitSliced and kBoolean -> MultiplyBitSliced when both inputs verify
+/// as 0/1 (MultiplyBlocked otherwise). All choices return results
+/// bit-identical to MultiplyNaive(a, b).
 Matrix CountingProduct(const Matrix& a, const Matrix& b, MmKernel kernel,
                        ExecContext* ctx = nullptr);
 

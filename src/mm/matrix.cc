@@ -47,17 +47,14 @@ Matrix MultiplyBlocked(const Matrix& a, const Matrix& b, ExecContext* ctx) {
   ParallelFor(
       ec, FaultSite::kMm, (a.rows() + kSlab - 1) / kSlab,
       [&](int64_t slab_begin, int64_t slab_end) {
-        // No caller scratch: ParallelFor may invoke this chunk callback
-        // once per claimed slab, so a local MmPackScratch would
-        // re-allocate the pack buffers per slab. The nullptr path borrows
-        // a per-worker context arena, whose capacity persists across
-        // slabs and calls.
+        // GemmAddAt packs into a per-worker context arena, whose capacity
+        // persists across slabs and calls.
         for (int64_t slab = slab_begin; slab < slab_end; ++slab) {
           const int i0 = static_cast<int>(slab) * kSlab;
           const int rows = std::min(kSlab, a.rows() - i0);
           GemmAddAt(level, a.RowPtr(i0), a.cols(), b.RowPtr(0), b.cols(),
                     out.RowPtr(i0), out.cols(), rows, a.cols(), b.cols(),
-                    &ec, nullptr);
+                    &ec);
         }
       });
   return out;

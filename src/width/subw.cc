@@ -37,7 +37,11 @@ Rational FractionalEdgeCover(const Hypergraph& h, VarSet target,
         row.coeffs.emplace_back(weight_var[e], Rational(1));
       }
     }
-    FMMSW_CHECK(!row.coeffs.empty() && "vertex not covered by any edge");
+    if (row.coeffs.empty()) {
+      throw QueryAbort(ExecStatus::kInvalidArgument,
+                       "FractionalEdgeCover: variable " + h.names()[vert] +
+                           " is covered by no hyperedge");
+    }
   }
   if (ctx != nullptr) ctx->guard().Poll(FaultSite::kLp);
   auto res = SolveSimplex(m);

@@ -22,6 +22,8 @@ class ExecContext;
 /// Fractional edge cover number of the vertices in `target` using all
 /// hyperedges of H (min sum of edge weights covering each target vertex).
 /// With target == vertices() this is rho*(H), the AGM-bound exponent.
+/// Throws QueryAbort(kInvalidArgument) naming the first target vertex
+/// that no hyperedge covers (the cover LP would be infeasible).
 Rational FractionalEdgeCover(const Hypergraph& h, VarSet target,
                              ExecContext* ctx = nullptr);
 

@@ -170,15 +170,13 @@ TEST(RecoveryTest, LadderFallsBackUnderMmPressureAtEveryThreadCount) {
     // Bit-identical to a clean run of the fallback strategy.
     EXPECT_EQ(count, clean_count) << "threads=" << threads;
     EXPECT_EQ(report.winning_rung, "wcoj");
-    // Every MM rung (strassen, blocked, bit-sliced) failed retryably.
-    EXPECT_EQ(report.attempts, 4);
-    EXPECT_EQ(report.degraded_runs, 3);
-    ASSERT_EQ(report.failures.size(), 3u);
-    for (const ExecResult& f : report.failures) {
-      EXPECT_EQ(f.status, ExecStatus::kMemoryLimitExceeded);
-    }
-    EXPECT_EQ(ec.stats().retries.load(), 3);
-    EXPECT_EQ(ec.stats().degraded_runs.load(), 3);
+    // The MM rung (bit-sliced) failed retryably.
+    EXPECT_EQ(report.attempts, 2);
+    EXPECT_EQ(report.degraded_runs, 1);
+    ASSERT_EQ(report.failures.size(), 1u);
+    EXPECT_EQ(report.failures[0].status, ExecStatus::kMemoryLimitExceeded);
+    EXPECT_EQ(ec.stats().retries.load(), 1);
+    EXPECT_EQ(ec.stats().degraded_runs.load(), 1);
     EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
     // The plan is sticky until cleared: a clean rerun works afterwards.
     ec.guard().SetFaultPlan(FaultPlan{});
@@ -200,7 +198,7 @@ TEST(RecoveryTest, BooleanLadderRecoversAndMatches) {
     // early exit under an irrelevant plan is covered by the per-site
     // soak). The degree-split phase, however, always runs through the
     // relational-ops plane — which the WCOJ rung never polls — so an
-    // "ops" fault deterministically fails both hybrid rungs.
+    // "ops" fault deterministically fails the hybrid rung.
     ec.guard().SetFaultPlan(MustParse("ops:1"));
     bool result = !clean;
     RecoveryReport report;
@@ -209,8 +207,8 @@ TEST(RecoveryTest, BooleanLadderRecoversAndMatches) {
     ASSERT_TRUE(r.ok()) << r.message;
     EXPECT_EQ(result, clean);
     EXPECT_EQ(report.winning_rung, "wcoj");
-    EXPECT_EQ(report.attempts, 3);
-    EXPECT_EQ(report.degraded_runs, 2);
+    EXPECT_EQ(report.attempts, 2);
+    EXPECT_EQ(report.degraded_runs, 1);
     ec.guard().SetFaultPlan(FaultPlan{});
   }
 }
@@ -225,7 +223,7 @@ TEST(RecoveryTest, TerminalStatusIsNotRetried) {
   const ExecResult r =
       EvaluateCountWithRecovery(h, db, &count, &ec, {}, {}, &report);
   EXPECT_EQ(r.status, ExecStatus::kCancelled);
-  EXPECT_NE(r.message.find("rung 'mm-strassen'"), std::string::npos);
+  EXPECT_NE(r.message.find("rung 'mm-bitsliced'"), std::string::npos);
   EXPECT_EQ(report.attempts, 1) << "terminal failures must not retry";
   EXPECT_EQ(count, -1);
   EXPECT_EQ(ec.stats().retries.load(), 0);
@@ -260,14 +258,14 @@ TEST(RecoveryTest, MaxAttemptsCapsTheLadder) {
   ExecContext ec(2);
   ec.guard().SetFaultPlan(MustParse("mm:1"));
   RetryPolicy policy;
-  policy.max_attempts = 2;  // strassen + blocked only; never reaches wcoj
+  policy.max_attempts = 1;  // bit-sliced only; never reaches wcoj
   int64_t count = -1;
   RecoveryReport report;
   const ExecResult r =
       EvaluateCountWithRecovery(h, db, &count, &ec, {}, policy, &report);
   EXPECT_EQ(r.status, ExecStatus::kRetryExhausted);
   EXPECT_NE(r.message.find("retry budget exhausted"), std::string::npos);
-  EXPECT_EQ(report.attempts, 2);
+  EXPECT_EQ(report.attempts, 1);
   EXPECT_EQ(count, -1);
   ec.guard().SetFaultPlan(FaultPlan{});
 }
@@ -333,24 +331,25 @@ TEST(RecoveryTest, JoinWithRecoveryMatchesCleanJoin) {
 // comfortably.
 TEST(RecoveryTest, BudgetAbortLeavesMemoryChargesBalanced) {
   ExecContext ec(2);
-  // 300 > the 256 recursion cutoff: Strassen pads to 512x512 and
-  // charges ~8.4 MB for pads + scratch up front, tripping the 4 MB
-  // budget inside the MemCharge constructor itself.
-  const Matrix a(300, 300);
-  const Matrix b(300, 300);
+  // An 800x800 int64 output is ~5.1 MB: MultiplyBlocked's output charge
+  // trips the 4 MiB budget inside the MemCharge constructor itself.
+  const Matrix a(800, 800);
+  const Matrix b(800, 800);
   QueryLimits tight;
   tight.memory_budget_bytes = 4 << 20;
   const ExecResult aborted = RunGuarded(ec, tight, [&] {
-    const Matrix c = MultiplyStrassen(a, b, /*cutoff=*/256, &ec);
+    const Matrix c = MultiplyBlocked(a, b, &ec);
     (void)c;
   });
   ASSERT_EQ(aborted.status, ExecStatus::kMemoryLimitExceeded);
   EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0)
       << "budget abort leaked tracked memory charges";
   // The same context, under the same budget, must immediately admit a
-  // plan that fits (cutoff 512 keeps 300x300 in the packed base case).
+  // product that fits (a 300x300 output is ~0.7 MB).
+  const Matrix small_a(300, 300);
+  const Matrix small_b(300, 300);
   const ExecResult ok = RunGuarded(ec, tight, [&] {
-    const Matrix c = MultiplyStrassen(a, b, /*cutoff=*/512, &ec);
+    const Matrix c = MultiplyBlocked(small_a, small_b, &ec);
     (void)c;
   });
   EXPECT_TRUE(ok.ok()) << ok.message;

@@ -2,6 +2,7 @@
 // and w-subw (Definition 4.7) against the closed forms of Appendix C /
 // Table 2 — all exact over rationals.
 
+#include "core/api.h"
 #include "core/exec_context.h"
 #include "core/exec_status.h"
 #include "entropy/witnesses.h"
@@ -43,6 +44,27 @@ TEST(FhtwTest, KnownValues) {
   // fhtw(C4) = 2 while subw(C4) = 3/2: the gap data partitioning closes.
   EXPECT_EQ(Fhtw(Hypergraph::Cycle(4)), Rational(2));
   EXPECT_EQ(Fhtw(Hypergraph::DoubleTriangle()), Rational(3, 2));
+}
+
+TEST(FhtwTest, UncoveredVertexIsInvalidArgument) {
+  // X2 lies in no hyperedge, so its cover LP is infeasible: the width
+  // computation must return a status rather than abort the process.
+  Hypergraph h(3);
+  h.AddEdge(VarSet{0, 1});
+  ExecContext ec(2);
+  WidthReport report;
+  const ExecResult r = RunGuarded(
+      ec, {}, [&] { report = ComputeWidths(h, Rational(2), {}, &ec); });
+  EXPECT_EQ(r.status, ExecStatus::kInvalidArgument);
+  EXPECT_NE(r.message.find("X2"), std::string::npos) << r.message;
+  EXPECT_EQ(ec.stats().mem_current_bytes.load(), 0);
+  // The context is reusable afterwards.
+  const ExecResult ok = RunGuarded(ec, {}, [&] {
+    report = ComputeWidths(Hypergraph::Triangle(), Rational(2), {}, &ec);
+  });
+  ASSERT_TRUE(ok.ok()) << ok.message;
+  EXPECT_EQ(report.rho_star, Rational(3, 2));
+  EXPECT_EQ(report.fhtw, Rational(3, 2));
 }
 
 // ---------------------------------------------------------------- subw --
